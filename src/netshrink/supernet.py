@@ -380,7 +380,11 @@ class SuperNetwork:
                 f"channels, spec says {spec.c}"
             )
         w_eff = superkernel_mask(self.weights[index].value, k)
-        y = T.conv2d_forward(x, w_eff, spec.stride) + self.biases[index].value[None, :, None, None]
+        cols = T.im2col(x, spec.k_max, spec.stride)
+        y = (
+            T.conv2d_forward(x, w_eff, spec.stride, cols=cols)
+            + self.biases[index].value[None, :, None, None]
+        )
         a = T.relu(y)
         mask = (np.arange(spec.t)[None, :] < widths[:, None]).astype(x.dtype)
         out = a * mask[:, :, None, None]
@@ -389,20 +393,23 @@ class SuperNetwork:
             mct = spec.min_ct
             comp = (np.arange(mct)[None, :] >= widths[:, None]).astype(x.dtype)
             out[:, :mct] += x[:, :mct] * comp[:, :, None, None]
-        cache = {"index": index, "x": x, "y": y, "k": k, "mask": mask, "comp": comp}
+        cache = {"index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask, "comp": comp}
         return out, cache
 
-    def _layer_backward(self, dout: np.ndarray, cache: dict) -> np.ndarray:
+    def _layer_backward(self, dout: np.ndarray, cache: dict) -> np.ndarray | None:
+        """Accumulate layer gradients; returns dx, or None for layer 0 (nothing consumes it)."""
         index = cache["index"]
         spec = self.specs[index]
         x, y, k = cache["x"], cache["y"], cache["k"]
         da = dout * cache["mask"][:, :, None, None]
         dy = da * (y > 0)
         w_eff = superkernel_mask(self.weights[index].value, k)
-        dx, dw = T.conv2d_backward(dy, x, w_eff, spec.stride)
+        dx, dw = T.conv2d_backward(
+            dy, x, w_eff, spec.stride, cols=cache["cols"], need_dx=index > 0
+        )
         self.weights[index].grad += superkernel_mask(dw, k)
         self.biases[index].grad += dy.sum(axis=(0, 2, 3))
-        if spec.bypass_enabled:
+        if dx is not None and spec.bypass_enabled:
             mct = spec.min_ct
             dx[:, :mct] += dout[:, :mct] * cache["comp"][:, :, None, None]
         return dx
@@ -637,19 +644,22 @@ class SubNetwork:
         for p in self.parameters():
             p.zero_grad()
 
-    def _layer_forward(self, layer: EvalLayer, x: np.ndarray):
+    def _layer_forward(self, layer: EvalLayer, x: np.ndarray, record: bool):
+        """Returns (out, cache); the cache keeps im2col columns only when recording."""
         spec = layer.spec
-        parts, y = [], None
+        parts, y, cols = [], None, None
         if layer.m > 0:
+            if record:
+                cols = T.im2col(x, layer.k, spec.stride)
             y = (
-                T.conv2d_forward(x, layer.weight.value, spec.stride)
+                T.conv2d_forward(x, layer.weight.value, spec.stride, cols=cols)
                 + layer.bias.value[None, :, None, None]
             )
             parts.append(T.relu(y))
         if spec.bypass_enabled and layer.m < min(x.shape[1], spec.min_ct):
             parts.append(x[:, layer.m : min(x.shape[1], spec.min_ct)])
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return out, y
+        return out, {"x": x, "y": y, "cols": cols}
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         caches = []
@@ -660,10 +670,9 @@ class SubNetwork:
                     f"layer {layer.spec.index}: expected {layer.z_in} input channels, "
                     f"got {out.shape[1]} on axis 1"
                 )
-            nxt, y = self._layer_forward(layer, out)
+            out, lc = self._layer_forward(layer, out, record)
             if record:
-                caches.append({"x": out, "y": y})
-            out = nxt
+                caches.append(lc)
         feat = T.global_avg_pool(out)
         logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
         if record:
@@ -679,19 +688,27 @@ class SubNetwork:
         self.head_b.grad += dlogits.sum(axis=0)
         dfeat = T.dense_backward(dlogits, cache["feat"], self.head_w.value)[0]
         dout = T.global_avg_pool_backward(dfeat, cache["conv_shape"])
-        for layer, lc in zip(reversed(self.layers), reversed(cache["caches"])):
-            dout = self._layer_backward(layer, dout, lc)
+        for i in reversed(range(len(self.layers))):
+            dout = self._layer_backward(self.layers[i], dout, cache["caches"][i], need_dx=i > 0)
 
-    def _layer_backward(self, layer: EvalLayer, dout: np.ndarray, lc: dict) -> np.ndarray:
+    def _layer_backward(
+        self, layer: EvalLayer, dout: np.ndarray, lc: dict, need_dx: bool
+    ) -> np.ndarray | None:
+        """Accumulate layer gradients; returns dx, or None when `need_dx` is False."""
         spec = layer.spec
         x = lc["x"]
-        dx = np.zeros_like(x)
         if layer.m > 0:
             dy = dout[:, : layer.m] * (lc["y"] > 0)
-            dxc, dw = T.conv2d_backward(dy, x, layer.weight.value, spec.stride)
-            dx += dxc
+            dxc, dw = T.conv2d_backward(
+                dy, x, layer.weight.value, spec.stride, cols=lc["cols"], need_dx=need_dx
+            )
             layer.weight.grad += dw
             layer.bias.grad += dy.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
+        dx = np.zeros_like(x)
+        if layer.m > 0:
+            dx += dxc
         hi = min(x.shape[1], spec.min_ct) if spec.bypass_enabled else 0
         if layer.m < hi:
             dx[:, layer.m : hi] += dout[:, layer.m : hi]

@@ -54,16 +54,20 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeError(message)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Same-padding 2-D convolution (cross-correlation), NCHW in, NCHW out.
+def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad axes 2 and 3 by `pad` on each side (same values as np.pad, far less overhead)."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    return xp
 
-    x: [N, C, H, W], w: [F, C, k, k] with k odd.  Output spatial extents are
-    ceil(H/stride) x ceil(W/stride); padding value is 0.
-    """
+
+def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
+    """Validate a same-padding conv of x by w; return the output extents (H_out, W_out)."""
     _require(x.ndim == 4, f"conv input must be 4-D NCHW, got rank {x.ndim}")
     _require(w.ndim == 4, f"conv weights must be 4-D [F,C,k,k], got rank {w.ndim}")
-    n, c, h, wd = x.shape
-    f, wc, kh, kw = w.shape
+    _, c, h, wd = x.shape
+    _, wc, kh, kw = w.shape
     _require(kh == kw, f"kernel must be square, got {kh}x{kw} on axes (2,3)")
     _require(kh % 2 == 1, f"kernel size must be odd, got {kh}")
     _require(
@@ -75,33 +79,91 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
         h >= kh and wd >= kw,
         f"spatial extents ({h}x{wd}) must be >= kernel ({kh}) on axes (2,3)",
     )
-    pad = (kh - 1) // 2
-    h_out = -(-h // stride)
-    w_out = -(-wd // stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return -(-h // stride), -(-wd // stride)
+
+
+def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int) -> None:
+    n, c = x.shape[:2]
+    want = (n, h_out * w_out, c * k * k)
+    _require(cols.ndim == 3, f"cols must be 3-D [N,P,C*k*k], got rank {cols.ndim}")
+    for axis, (got, expect) in enumerate(zip(cols.shape, want)):
+        _require(
+            got == expect,
+            f"cols axis {axis} has {got}, im2col of input {x.shape} with k={k} needs {expect}",
+        )
+
+
+def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    """Same-padding k x k patches of x: [N, C, H, W] -> [N, H_out*W_out, C*k*k].
+
+    Row p holds the receptive field of output pixel p in (channel, row, col)
+    order, matching ``w.reshape(F, -1)``.  Training computes it once per
+    layer and hands it to both ``conv2d_forward`` and ``conv2d_backward``.
+    """
+    n, c = x.shape[:2]
+    pad = (k - 1) // 2
+    win = sliding_window_view(_pad_hw(x, pad), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, h_out, w_out = win.shape[:4]
     # win: [N, C, H_out, W_out, k, k] -> cols: [N, H_out*W_out, C*k*k]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * kh * kw)
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * k * k)
+
+
+def conv2d_forward(
+    x: np.ndarray, w: np.ndarray, stride: int = 1, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """Same-padding 2-D convolution (cross-correlation), NCHW in, NCHW out.
+
+    x: [N, C, H, W], w: [F, C, k, k] with k odd.  Output spatial extents are
+    ceil(H/stride) x ceil(W/stride); padding value is 0.  `cols`, if given,
+    must be ``im2col(x, k, stride)``.
+    """
+    h_out, w_out = _conv_shapes(x, w, stride)
+    n = x.shape[0]
+    f, _, k, _ = w.shape
+    if cols is None:
+        cols = im2col(x, k, stride)
+    else:
+        _require_cols(cols, x, k, h_out, w_out)
     y = cols @ w.reshape(f, -1).T
     return np.ascontiguousarray(y.transpose(0, 2, 1).reshape(n, f, h_out, w_out))
 
 
 def conv2d_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward: returns (dx, dw) for upstream gradient dy."""
+    dy: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    stride: int = 1,
+    cols: np.ndarray | None = None,
+    need_dx: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of conv2d_forward: returns (dx, dw) for upstream gradient dy.
+
+    `cols`, if given, must be ``im2col(x, k, stride)``.  With
+    ``need_dx=False`` (the network's input layer) dx is not computed and
+    None is returned in its place.
+    """
+    h_out, w_out = _conv_shapes(x, w, stride)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
-    _, _, h_out, w_out = dy.shape
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * k * k)
+    _require(dy.ndim == 4, f"conv output gradient must be 4-D NCHW, got rank {dy.ndim}")
+    for axis, (got, expect) in enumerate(zip(dy.shape, (n, f, h_out, w_out))):
+        _require(
+            got == expect,
+            f"dy axis {axis} has {got}, the forward output of input {x.shape} "
+            f"and weights {w.shape} at stride {stride} has {expect}",
+        )
+    if cols is None:
+        cols = im2col(x, k, stride)
+    else:
+        _require_cols(cols, x, k, h_out, w_out)
     dyc = dy.reshape(n, f, h_out * w_out).transpose(0, 2, 1)  # [N, P, F]
     dw = np.einsum("npf,npc->fc", dyc, cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    pad = (k - 1) // 2
     dcols = dyc @ w.reshape(f, -1)  # [N, P, C*k*k]
     dwin = dcols.reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     for u in range(k):
         for v in range(k):
             dxp[:, :, u : u + stride * h_out : stride, v : v + stride * w_out : stride] += dwin[

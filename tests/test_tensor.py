@@ -62,19 +62,23 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="spatial"):
             T.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
 
+    @pytest.mark.parametrize("precomputed_cols", [False, True])
+    @pytest.mark.parametrize("hw", [(5, 5), (5, 7)])
+    @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_backward_matches_finite_differences(self, stride):
+    def test_backward_matches_finite_differences(self, stride, k, hw, precomputed_cols):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 2, 5, 5))
-        w = T.Parameter(rng.standard_normal((3, 2, 3, 3)))
+        x = rng.standard_normal((2, 2, *hw))
+        w = T.Parameter(rng.standard_normal((3, 2, k, k)))
         target = rng.standard_normal(T.conv2d_forward(x, w.value, stride).shape)
 
         def loss():
             d = T.conv2d_forward(x, w.value, stride) - target
             return float((d * d).sum())
 
-        y = T.conv2d_forward(x, w.value, stride)
-        dx, dw = T.conv2d_backward(2 * (y - target), x, w.value, stride)
+        cols = T.im2col(x, k, stride) if precomputed_cols else None
+        y = T.conv2d_forward(x, w.value, stride, cols=cols)
+        dx, dw = T.conv2d_backward(2 * (y - target), x, w.value, stride, cols=cols)
         (fd_w,) = finite_difference_grads(loss, [w], h=1e-5)
         assert relative_error(dw, fd_w) < 1e-5
 
@@ -86,6 +90,72 @@ class TestConv2d:
 
         (fd_x,) = finite_difference_grads(loss_x, [xp], h=1e-5)
         assert relative_error(dx, fd_x) < 1e-5
+
+
+class TestConvColsContract:
+    """im2col columns handed in, and the input layer's skipped dx, change no bits."""
+
+    @staticmethod
+    def _case(stride, k, hw=(8, 6)):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4, *hw)).astype(np.float32)
+        w = rng.standard_normal((5, 4, k, k)).astype(np.float32)
+        dy = rng.standard_normal(T.conv2d_forward(x, w, stride).shape).astype(np.float32)
+        return x, w, dy
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_cols_give_bitwise_equal_results(self, stride, k):
+        x, w, dy = self._case(stride, k)
+        cols = T.im2col(x, k, stride)
+        np.testing.assert_array_equal(
+            T.conv2d_forward(x, w, stride, cols=cols), T.conv2d_forward(x, w, stride)
+        )
+        dx, dw = T.conv2d_backward(dy, x, w, stride)
+        dx_c, dw_c = T.conv2d_backward(dy, x, w, stride, cols=cols)
+        np.testing.assert_array_equal(dx_c, dx)
+        np.testing.assert_array_equal(dw_c, dw)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_need_dx_false_returns_none_and_the_same_dw(self, stride):
+        x, w, dy = self._case(stride, 3)
+        _, dw = T.conv2d_backward(dy, x, w, stride)
+        dx_skip, dw_skip = T.conv2d_backward(
+            dy, x, w, stride, cols=T.im2col(x, 3, stride), need_dx=False
+        )
+        assert dx_skip is None
+        np.testing.assert_array_equal(dw_skip, dw)
+
+    def test_im2col_shape(self):
+        x, _, _ = self._case(2, 5, hw=(7, 9))
+        assert T.im2col(x, 5, 2).shape == (3, 4 * 5, 4 * 25)
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (lambda x, w, dy, cols: (dy[0], x, w, cols), "gradient must be 4-D"),
+            (lambda x, w, dy, cols: (dy, x[0], w, cols), "input must be 4-D"),
+            (lambda x, w, dy, cols: (dy, x, w[0], cols), "weights must be 4-D"),
+            (lambda x, w, dy, cols: (dy[:2], x, w, cols), "dy axis 0 has 2"),
+            (lambda x, w, dy, cols: (dy[:, :4], x, w, cols), "dy axis 1 has 4"),
+            (lambda x, w, dy, cols: (dy[:, :, :3], x, w, cols), "dy axis 2 has 3"),
+            (lambda x, w, dy, cols: (dy[:, :, :, :2], x, w, cols), "dy axis 3 has 2"),
+            (lambda x, w, dy, cols: (dy, x, w, cols[0]), "cols must be 3-D"),
+            (lambda x, w, dy, cols: (dy, x, w, cols[:2]), "cols axis 0 has 2"),
+            (lambda x, w, dy, cols: (dy, x, w, cols[:, :5]), "cols axis 1 has 5"),
+            (lambda x, w, dy, cols: (dy, x, w, cols[:, :, :30]), "cols axis 2 has 30"),
+        ],
+    )
+    def test_backward_shape_checks_name_the_axis(self, bad, match):
+        x, w, dy = self._case(2, 3)
+        dy_b, x_b, w_b, cols_b = bad(x, w, dy, T.im2col(x, 3, 2))
+        with pytest.raises(ShapeError, match=match):
+            T.conv2d_backward(dy_b, x_b, w_b, 2, cols=cols_b)
+
+    def test_forward_rejects_cols_of_another_kernel(self):
+        x, w, _ = self._case(1, 3)
+        with pytest.raises(ShapeError, match="cols axis 2"):
+            T.conv2d_forward(x, w, 1, cols=T.im2col(x, 5, 1))
 
 
 class TestDense:
