@@ -156,12 +156,13 @@ def conv2d_backward(
         cols = im2col(x, k, stride)
     else:
         _require_cols(cols, x, k, h_out, w_out)
-    dyc = dy.reshape(n, f, h_out * w_out).transpose(0, 2, 1)  # [N, P, F]
-    dw = np.einsum("npf,npc->fc", dyc, cols).reshape(w.shape)
+    dyf = dy.reshape(n, f, h_out * w_out)
+    # dw sums over images and pixels: one [F, N*P] @ [N*P, C*k*k] GEMM
+    dw = (dyf.transpose(1, 0, 2).reshape(f, -1) @ cols.reshape(-1, c * k * k)).reshape(w.shape)
     if not need_dx:
         return None, dw
     pad = (k - 1) // 2
-    dcols = dyc @ w.reshape(f, -1)  # [N, P, C*k*k]
+    dcols = dyf.transpose(0, 2, 1) @ w.reshape(f, -1)  # [N, P, C*k*k]
     dwin = dcols.reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 1, 2, 4, 5)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     for u in range(k):
