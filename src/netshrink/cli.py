@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sample evaluations")
         if checkpoint:
             p.add_argument("--checkpoint", default=None, help="super-network checkpoint")
         if trajectory:
@@ -350,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--architecture", default=None, help="architecture JSON (scratch mode)")
 
     common(sub.add_parser("train-supernet", help="train the shared-weight super-network"))
-    common(sub.add_parser("search", help="run coordinate-descent search"), checkpoint=True)
+    search = sub.add_parser("search", help="run coordinate-descent search")
+    common(search, checkpoint=True)
+    search.add_argument("--jobs", type=int, default=1, help="parallel sample evaluations")
     common(
         sub.add_parser("train-discovered", help="train the discovered network"),
         checkpoint=True,

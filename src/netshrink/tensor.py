@@ -266,19 +266,40 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint {path} is not valid JSON at offset {e.pos}") from e
+    if not isinstance(payload, dict):
+        raise ParseError(
+            f"checkpoint {path}: top level must be a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(
             f"checkpoint {path}: unknown format {payload.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
         )
+    entries, meta = payload.get("tensors"), payload.get("meta", {})
+    if not isinstance(entries, dict):
+        raise ParseError(f"checkpoint {path}: field 'tensors' must be an object of named tensors")
+    if not isinstance(meta, dict):
+        raise ParseError(f"checkpoint {path}: field 'meta' must be an object")
     tensors = {}
-    for name, entry in payload["tensors"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=DEFAULT_DTYPE)
+    for name, entry in entries.items():
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise ParseError(f"checkpoint {path}: tensor {name} needs fields 'shape' and 'data'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise ParseError(
+                f"checkpoint {path}: tensor {name} field 'shape' must be a list of "
+                f"non-negative integers, got {shape!r}"
+            )
+        try:
+            data = np.asarray(entry["data"], dtype=DEFAULT_DTYPE)
+        except (TypeError, ValueError) as e:
+            raise ParseError(
+                f"checkpoint {path}: tensor {name} field 'data' is not a list of numbers: {e}"
+            ) from e
         if data.size != int(np.prod(shape)):
             raise ParseError(
                 f"checkpoint {path}: tensor {name} has {data.size} values, "
-                f"shape {shape} needs {int(np.prod(shape))}"
+                f"shape {tuple(shape)} needs {int(np.prod(shape))}"
             )
         tensors[name] = data.reshape(shape)
-    return tensors, payload.get("meta", {})
+    return tensors, meta

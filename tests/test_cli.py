@@ -140,6 +140,14 @@ class TestTrainSupernetCommand:
         assert code == 1
         assert "locked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-supernet", "train-discovered"])
+    def test_jobs_is_a_search_only_flag(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
 
 class TestSearchCommand:
     @pytest.fixture()

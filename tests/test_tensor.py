@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -286,3 +287,27 @@ class TestCheckpoint:
         path.write_text('{"format": "netshrink-che')
         with pytest.raises(ParseError, match="offset"):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            ({"format": T.CHECKPOINT_FORMAT}, "field 'tensors'"),
+            ([1, 2, 3], "top level must be a JSON object"),
+            ({"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2]}}}, "tensor w .*'data'"),
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": ["a", "b"]}}},
+                "tensor w field 'data'",
+            ),
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": "2", "data": [1, 2]}}},
+                "tensor w field 'shape'",
+            ),
+            ({"format": T.CHECKPOINT_FORMAT, "tensors": {}, "meta": []}, "field 'meta'"),
+        ],
+    )
+    def test_malformed_payload_names_path_and_field(self, tmp_path, payload, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=match) as exc:
+            T.load_checkpoint(path)
+        assert str(path) in str(exc.value)
