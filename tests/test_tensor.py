@@ -63,10 +63,21 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="spatial"):
             T.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
 
-    @pytest.mark.parametrize("precomputed_cols", [False, True])
-    @pytest.mark.parametrize("hw", [(5, 5), (5, 7)])
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize(
+        "stride,k,hw,precomputed_cols",
+        [
+            # the base case (k=3, 5x5, no cols) keeps its id: the stride alone
+            pytest.param(
+                s, k, hw, cols,
+                id=f"{s}" if (k, hw, cols) == (3, (5, 5), False)
+                else f"{s}-k{k}-{hw[0]}x{hw[1]}" + ("-cols" if cols else ""),
+            )
+            for s in (1, 2)
+            for k in (3, 5)
+            for hw in ((5, 5), (5, 7))
+            for cols in (False, True)
+        ],
+    )
     def test_backward_matches_finite_differences(self, stride, k, hw, precomputed_cols):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 2, *hw))
