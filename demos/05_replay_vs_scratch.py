@@ -2,9 +2,10 @@
 
 Replay walks the per-iteration best architectures, reusing the overlapping
 weight slices at each shrink and training briefly, then finishes on the final
-architecture.  Scratch trains the final architecture from random init for the
-same total epoch budget.  Paired over five seeds; results are printed and
-recorded, not asserted, since tiny tasks leave both methods near ceiling.
+architecture.  Scratch trains the final architecture from a fresh He init over
+its own fan-in for the same total epoch budget.  Paired over five seeds;
+results are printed and recorded, not asserted, since tiny tasks leave both
+methods near ceiling.
 """
 import numpy as np
 
@@ -46,11 +47,7 @@ def one_seed(seed):
         epochs_per_step=per_step, final_epochs=final_epochs, batch_size=32, lr=0.08,
     )
     # same total budget for scratch: shrink-step epochs + final epochs
-    scratch = net.extract(choices[-1])
-    for p in scratch.parameters():  # forget the pretrained slices
-        p.value = np.random.default_rng(seed + 4).standard_normal(p.value.shape).astype(
-            p.value.dtype
-        ) * 0.2
+    scratch = net.extract(choices[-1], rng=np.random.default_rng(seed + 4))
     train_subnetwork(scratch, train, steps * per_step + final_epochs,
                      np.random.default_rng(seed + 3), batch_size=32, lr=0.08)
     return (

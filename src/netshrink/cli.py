@@ -23,7 +23,7 @@ from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table,
 from .data import Dataset, load_raster, synth_classification, three_way_split
 from .errors import ConfigError, NetshrinkError, StateError
 from .search import SearchConfig, run_search, train_subnetwork, trajectory_replay_finetune
-from .supernet import SubNetChoice, SuperNetwork, load_architecture, save_architecture
+from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
 
 STAGE_FORMAT = "netshrink-stage-v1"
@@ -224,18 +224,7 @@ def cmd_train_discovered(args) -> int:
         mode = cfg.discovered.mode
 
         if architecture_path is not None:
-            rows = load_architecture(architecture_path)
-            conv_rows = [r for r in rows if r["kind"] == "conv"]
-            if len(conv_rows) != len(cfg.layers):
-                raise ConfigError(
-                    f"architecture has {len(conv_rows)} conv layers, config network "
-                    f"has {len(cfg.layers)}"
-                )
-            pairs = tuple(
-                (int(r["M"]), int(r["k"]) if int(r["M"]) > 0 else spec.kernel_grid[0])
-                for spec, r in zip(cfg.layers, conv_rows)
-            )
-            choices = [SubNetChoice(pairs)]
+            choices = [load_architecture(architecture_path, cfg.layers)]
             mode = "scratch"  # a bare architecture has no trajectory to replay
         else:
             choices = searchmod.load_trajectory_choices(trajectory_path, net)
@@ -255,7 +244,7 @@ def cmd_train_discovered(args) -> int:
                 weight_decay=cfg.training.weight_decay,
             )
         else:
-            discovered = net.extract(final_choice)  # fresh random weights, shaped by the choice
+            discovered = net.extract(final_choice, rng=rng)
             train_subnetwork(
                 discovered, train, cfg.discovered.epochs, rng,
                 batch_size=cfg.training.batch_size,

@@ -21,11 +21,18 @@ import numpy as np
 from . import tensor as T
 from .cost import total_resource
 from .data import Dataset
-from .errors import FeasibilityError, GridError, InfeasibleTargetError
-from .supernet import LayerSpec, SubNetChoice, SubNetwork, SuperNetwork, sample_width_assignments
+from .errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
+from .supernet import (
+    LayerSpec,
+    SubNetChoice,
+    SubNetwork,
+    SuperNetwork,
+    choice_from_rows,
+    read_json,
+    sample_width_assignments,
+)
 
 SEARCH_LOG_FORMAT = "netshrink-search-log-v1"
-TRAJECTORY_FORMAT = "netshrink-trajectory-v1"
 
 _MAX_ITERATIONS = 100_000
 
@@ -411,24 +418,13 @@ def write_trajectory(path: str | Path, supernet: SuperNetwork, trajectory: Seque
 
 def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[SubNetChoice]:
     """Parse a trajectory file back into validated per-layer choices."""
-    raw = json.loads(Path(path).read_text())
-    choices = []
-    for arch in raw:
-        conv_rows = [row for row in arch if row["kind"] == "conv"]
-        if len(conv_rows) != len(supernet.specs):
-            raise GridError(
-                f"trajectory entry has {len(conv_rows)} conv layers, network has "
-                f"{len(supernet.specs)}"
-            )
-        pairs = []
-        for spec, row in zip(supernet.specs, conv_rows):
-            m = int(row["M"])
-            k = int(row["k"]) if m > 0 else spec.kernel_grid[0]
-            pairs.append((m, k))
-        choice = SubNetChoice(tuple(pairs))
-        supernet.validate_choice(choice)
-        choices.append(choice)
-    return choices
+    raw = read_json(path, "trajectory")
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"trajectory {path}: must be a non-empty list of architectures")
+    return [
+        choice_from_rows(rows, supernet.specs, f"trajectory {path} entry {e}")
+        for e, rows in enumerate(raw)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .errors import GridError, ShapeError, StateError
-
-ARCHITECTURE_FORMAT = "netshrink-architecture-v1"
+from .errors import GridError, ParseError, ShapeError, StateError
 
 
 # ---------------------------------------------------------------------------
@@ -59,31 +57,12 @@ def bypass_channel_map(c: int, t: int, m: int) -> list[ChannelSource]:
     return sources
 
 
-@dataclass(frozen=True)
-class ChannelMask:
-    """Prefix mask over `length` channels: the first `ones_prefix` are kept."""
-
-    length: int
-    ones_prefix: int
-
-    def __post_init__(self):
-        if not 0 <= self.ones_prefix <= self.length:
-            raise GridError(
-                f"ones_prefix must lie in [0, {self.length}], got {self.ones_prefix}"
-            )
-
-    def as_array(self, dtype=np.float32) -> np.ndarray:
-        return (np.arange(self.length) < self.ones_prefix).astype(dtype)
-
-    def complement_array(self, dtype=np.float32) -> np.ndarray:
-        return (np.arange(self.length) >= self.ones_prefix).astype(dtype)
-
-
-def ordered_dropout_mask(m: int, total: int) -> ChannelMask:
-    """Prefix mask keeping the first m of `total` channels (zeros the rest)."""
-    if not 0 <= m <= total:
-        raise GridError(f"width {m} outside [0, {total}]")
-    return ChannelMask(length=total, ones_prefix=m)
+def ordered_dropout_mask(widths, total: int, dtype=np.float32) -> np.ndarray:
+    """Per-image prefix masks [N, total]: row n keeps the first widths[n] channels."""
+    widths = np.asarray(widths)
+    if widths.ndim != 1 or np.any((widths < 0) | (widths > total)):
+        raise GridError(f"widths must be a vector in [0, {total}], got {widths}")
+    return (np.arange(total)[None, :] < widths[:, None]).astype(dtype)
 
 
 def sample_width_assignments(n: int, width_grid: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -114,6 +93,16 @@ def kernel_window(full: int, k: int) -> slice:
         raise GridError(f"kernel size must be odd and in [3, {full}], got {k}")
     off = (full - k) // 2
     return slice(off, off + k)
+
+
+def prefix_slice(weights: np.ndarray, m: int, z_in: int, k: int) -> np.ndarray:
+    """View of the first m filters, first z_in inputs and centered k x k taps.
+
+    A centered window of a centered window is a centered window of the full
+    kernel, so this slices super-network and sub-network weights alike.
+    """
+    win = kernel_window(weights.shape[-1], k)
+    return weights[:m, :z_in, win, win]
 
 
 def superkernel_mask(weights: np.ndarray, k: int) -> np.ndarray:
@@ -239,6 +228,14 @@ def full_width_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
     return SubNetChoice(tuple((s.t, s.k_max) for s in specs))
 
 
+def check_choice(specs: Sequence[LayerSpec], choice: SubNetChoice) -> None:
+    """Raise GridError unless `choice` has one grid point per layer of `specs`."""
+    if len(choice.pairs) != len(specs):
+        raise GridError(f"choice has {len(choice.pairs)} layers, network has {len(specs)}")
+    for spec, (m, k) in zip(specs, choice.pairs):
+        spec.validate_choice(m, k)
+
+
 def channel_flow(specs: Sequence[LayerSpec], choice: SubNetChoice) -> list[int]:
     """Real channel counts along the network under `choice`.
 
@@ -267,6 +264,30 @@ def spatial_flow(specs: Sequence[LayerSpec], input_hw: tuple[int, int]) -> list[
     return sizes
 
 
+def sliced_layer(
+    spec: LayerSpec,
+    x: np.ndarray,
+    m: int,
+    weight: np.ndarray | None,
+    bias: np.ndarray | None,
+    cols: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One layer of a sliced sub-network: conv on m filters, then the bypassed inputs.
+
+    `weight` is [m, x.shape[1], k, k] and `bias` is [m] (both None when
+    m == 0); `cols`, if given, is ``T.im2col(x, k, stride)``.  Returns
+    (out, pre_activation); pre_activation is None when m == 0.
+    """
+    parts, y = [], None
+    if m > 0:
+        y = T.conv2d_forward(x, weight, spec.stride, cols=cols) + bias[None, :, None, None]
+        parts.append(T.relu(y))
+    hi = min(x.shape[1], spec.min_ct) if spec.bypass_enabled else 0
+    if m < hi:
+        parts.append(x[:, m:hi])
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), y
+
+
 # ---------------------------------------------------------------------------
 # the super-network
 # ---------------------------------------------------------------------------
@@ -274,6 +295,11 @@ def spatial_flow(specs: Sequence[LayerSpec], input_hw: tuple[int, int]) -> list[
 def _he_conv(rng: np.random.Generator, t: int, c: int, k: int, dtype) -> np.ndarray:
     std = np.sqrt(2.0 / (c * k * k))
     return (rng.standard_normal((t, c, k, k)) * std).astype(dtype)
+
+
+def _he_dense(rng: np.random.Generator, classes: int, feat: int, dtype) -> np.ndarray:
+    std = np.sqrt(2.0 / feat)
+    return (rng.standard_normal((classes, feat)) * std).astype(dtype)
 
 
 class SuperNetwork:
@@ -321,11 +347,7 @@ class SuperNetwork:
                 T.Parameter(_he_conv(rng, s.t, s.c, s.k_max, dtype), f"layer{s.index}.weight")
             )
             self.biases.append(T.Parameter(np.zeros(s.t, dtype=dtype), f"layer{s.index}.bias"))
-        feat = specs[-1].t
-        head_std = np.sqrt(2.0 / feat)
-        self.head_w = T.Parameter(
-            (rng.standard_normal((classes, feat)) * head_std).astype(dtype), "head.weight"
-        )
+        self.head_w = T.Parameter(_he_dense(rng, classes, specs[-1].t, dtype), "head.weight")
         self.head_b = T.Parameter(np.zeros(classes, dtype=dtype), "head.bias")
         self._cache: dict | None = None
 
@@ -342,12 +364,7 @@ class SuperNetwork:
         return full_width_choice(self.specs)
 
     def validate_choice(self, choice: SubNetChoice) -> None:
-        if len(choice.pairs) != len(self.specs):
-            raise GridError(
-                f"choice has {len(choice.pairs)} layers, network has {len(self.specs)}"
-            )
-        for spec, (m, k) in zip(self.specs, choice.pairs):
-            spec.validate_choice(m, k)
+        check_choice(self.specs, choice)
 
     # -- one layer, both modes ------------------------------------------------
 
@@ -386,12 +403,12 @@ class SuperNetwork:
             + self.biases[index].value[None, :, None, None]
         )
         a = T.relu(y)
-        mask = (np.arange(spec.t)[None, :] < widths[:, None]).astype(x.dtype)
+        mask = ordered_dropout_mask(widths, spec.t, x.dtype)
         out = a * mask[:, :, None, None]
         comp = None
         if spec.bypass_enabled:
             mct = spec.min_ct
-            comp = (np.arange(mct)[None, :] >= widths[:, None]).astype(x.dtype)
+            comp = 1 - mask[:, :mct]  # exact for 0/1 floats
             out[:, :mct] += x[:, :mct] * comp[:, :, None, None]
         cache = {"index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask, "comp": comp}
         return out, cache
@@ -424,15 +441,11 @@ class SuperNetwork:
             )
         if not spec.bypass_enabled and m < 1:
             raise GridError(f"layer {spec.index}: stride {spec.stride} cannot take width 0")
-        parts = []
+        weight = bias = None
         if m > 0:
-            win = kernel_window(spec.k_max, k) if k < spec.k_max else slice(None)
-            w = self.weights[index].value[:m, :z_in, win, win]
-            y = T.conv2d_forward(x, w, spec.stride) + self.biases[index].value[:m][None, :, None, None]
-            parts.append(T.relu(y))
-        if spec.bypass_enabled and m < min(z_in, spec.min_ct):
-            parts.append(x[:, m : min(z_in, spec.min_ct)])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            weight = prefix_slice(self.weights[index].value, m, z_in, k)
+            bias = self.biases[index].value[:m]
+        return sliced_layer(spec, x, m, weight, bias)[0]
 
     # -- whole network --------------------------------------------------------
 
@@ -564,38 +577,27 @@ class SuperNetwork:
 
     # -- extraction --------------------------------------------------------------
 
-    def extract(self, choice: SubNetChoice) -> "SubNetwork":
-        """Materialize the chosen sub-network with copied weight slices."""
+    def extract(
+        self, choice: SubNetChoice, rng: np.random.Generator | None = None
+    ) -> "SubNetwork":
+        """Materialize the chosen sub-network as a standalone network.
+
+        With rng None its weights are copies of the shared slices; with a
+        Generator they are a fresh He init over the sub-network's own fan-in.
+        """
         self.validate_choice(choice)
-        flow = channel_flow(self.specs, choice)
-        layers = []
-        for i, (spec, (m, k)) in enumerate(zip(self.specs, choice.pairs)):
-            z_in, z_out = flow[i], flow[i + 1]
-            if m == 0 and z_out == z_in:
-                continue  # full identity: drop the layer, channel count unchanged
-            if m > 0:
-                win = kernel_window(spec.k_max, k) if k < spec.k_max else slice(None)
-                weight = T.Parameter(
-                    self.weights[i].value[:m, :z_in, win, win].copy(), f"layer{spec.index}.weight"
-                )
-                bias = T.Parameter(self.biases[i].value[:m].copy(), f"layer{spec.index}.bias")
-            else:
-                weight = bias = None
-            layers.append(
-                EvalLayer(
-                    spec=spec,
-                    m=m,
-                    k=k if m > 0 else 0,
-                    z_in=z_in,
-                    z_out=z_out,
-                    weight=weight,
-                    bias=bias,
-                )
+        if rng is None:
+            return _build_subnetwork(
+                self.specs, choice,
+                lambda i, m, k, z_in: (self.weights[i].value, self.biases[i].value),
+                lambda z: (self.head_w.value, self.head_b.value),
             )
-        z_last = flow[-1]
-        head_w = T.Parameter(self.head_w.value[:, :z_last].copy(), "head.weight")
-        head_b = T.Parameter(self.head_b.value.copy(), "head.bias")
-        return SubNetwork(layers, head_w, head_b, choice=choice, specs=tuple(self.specs))
+        dtype, classes = self.head_w.value.dtype, self.classes
+        return _build_subnetwork(
+            self.specs, choice,
+            lambda i, m, k, z_in: (_he_conv(rng, m, z_in, k, dtype), np.zeros(m, dtype=dtype)),
+            lambda z: (_he_dense(rng, classes, z, dtype), np.zeros(classes, dtype=dtype)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +625,8 @@ class SubNetwork:
         layers: list[EvalLayer],
         head_w: T.Parameter,
         head_b: T.Parameter,
-        choice: SubNetChoice | None = None,
-        specs: tuple[LayerSpec, ...] | None = None,
+        choice: SubNetChoice,
+        specs: tuple[LayerSpec, ...],
     ):
         self.layers = layers
         self.head_w = head_w
@@ -644,24 +646,8 @@ class SubNetwork:
         for p in self.parameters():
             p.zero_grad()
 
-    def _layer_forward(self, layer: EvalLayer, x: np.ndarray, record: bool):
-        """Returns (out, cache); the cache keeps im2col columns only when recording."""
-        spec = layer.spec
-        parts, y, cols = [], None, None
-        if layer.m > 0:
-            if record:
-                cols = T.im2col(x, layer.k, spec.stride)
-            y = (
-                T.conv2d_forward(x, layer.weight.value, spec.stride, cols=cols)
-                + layer.bias.value[None, :, None, None]
-            )
-            parts.append(T.relu(y))
-        if spec.bypass_enabled and layer.m < min(x.shape[1], spec.min_ct):
-            parts.append(x[:, layer.m : min(x.shape[1], spec.min_ct)])
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return out, {"x": x, "y": y, "cols": cols}
-
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
+        """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns."""
         caches = []
         out = x
         for layer in self.layers:
@@ -670,9 +656,15 @@ class SubNetwork:
                     f"layer {layer.spec.index}: expected {layer.z_in} input channels, "
                     f"got {out.shape[1]} on axis 1"
                 )
-            out, lc = self._layer_forward(layer, out, record)
+            weight = bias = cols = None
+            if layer.m > 0:
+                weight, bias = layer.weight.value, layer.bias.value
+                if record:
+                    cols = T.im2col(out, layer.k, layer.spec.stride)
+            nxt, y = sliced_layer(layer.spec, out, layer.m, weight, bias, cols)
             if record:
-                caches.append(lc)
+                caches.append({"x": out, "y": y, "cols": cols})
+            out = nxt
         feat = T.global_avg_pool(out)
         logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
         if record:
@@ -697,18 +689,18 @@ class SubNetwork:
         """Accumulate layer gradients; returns dx, or None when `need_dx` is False."""
         spec = layer.spec
         x = lc["x"]
+        dx = None
         if layer.m > 0:
             dy = dout[:, : layer.m] * (lc["y"] > 0)
-            dxc, dw = T.conv2d_backward(
+            dx, dw = T.conv2d_backward(
                 dy, x, layer.weight.value, spec.stride, cols=lc["cols"], need_dx=need_dx
             )
             layer.weight.grad += dw
             layer.bias.grad += dy.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
-        dx = np.zeros_like(x)
-        if layer.m > 0:
-            dx += dxc
+        if dx is None:
+            dx = np.zeros_like(x)
         hi = min(x.shape[1], spec.min_ct) if spec.bypass_enabled else 0
         if layer.m < hi:
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
@@ -723,98 +715,117 @@ class SubNetwork:
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""
-        if self.specs is None or self.choice is None:
-            raise StateError("this sub-network does not carry its originating specs")
+        check_choice(self.specs, choice)
         for spec, (m0, k0), (m1, k1) in zip(self.specs, self.choice.pairs, choice.pairs):
             if m1 > m0 or (m1 > 0 and k1 > k0):
                 raise GridError(
                     f"layer {spec.index}: ({m1},{k1}) does not shrink ({m0},{k0})"
                 )
-            spec.validate_choice(m1, k1)
-        flow = channel_flow(self.specs, choice)
-        by_index = {l.spec.index: l for l in self.layers}
-        layers = []
-        for i, (spec, (m, k)) in enumerate(zip(self.specs, choice.pairs)):
-            z_in, z_out = flow[i], flow[i + 1]
-            if m == 0 and z_out == z_in:
-                continue
-            if m > 0:
-                src = by_index[spec.index]
-                win = kernel_window(src.k, k) if k < src.k else slice(None)
-                weight = T.Parameter(
-                    src.weight.value[:m, :z_in, win, win].copy(), src.weight.name
-                )
-                bias = T.Parameter(src.bias.value[:m].copy(), src.bias.name)
-            else:
-                weight = bias = None
-            layers.append(
-                EvalLayer(spec=spec, m=m, k=k if m > 0 else 0, z_in=z_in, z_out=z_out,
-                          weight=weight, bias=bias)
-            )
-        head_w = T.Parameter(self.head_w.value[:, : flow[-1]].copy(), "head.weight")
-        head_b = T.Parameter(self.head_b.value.copy(), "head.bias")
-        return SubNetwork(layers, head_w, head_b, choice=choice, specs=self.specs)
+        kept = {l.spec.index: (l.weight.value, l.bias.value) for l in self.layers if l.m > 0}
+        return _build_subnetwork(
+            self.specs, choice,
+            lambda i, m, k, z_in: kept[i],
+            lambda z: (self.head_w.value, self.head_b.value),
+        )
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
 
 
-def subnetwork_from_architecture(
-    rows: list[dict], rng: np.random.Generator, dtype=T.DEFAULT_DTYPE
+def _build_subnetwork(
+    specs: Sequence[LayerSpec],
+    choice: SubNetChoice,
+    layer_source: Callable[[int, int, int, int], tuple[np.ndarray, np.ndarray]],
+    head_source: Callable[[int], tuple[np.ndarray, np.ndarray]],
 ) -> SubNetwork:
-    """Fresh randomly initialized network matching an architecture JSON."""
-    if not rows or rows[-1]["kind"] != "dense":
-        raise GridError("architecture must end with the dense head row")
-    head_row, conv_rows = rows[-1], rows[:-1]
-    specs, pairs = [], []
-    for row in conv_rows:
-        k = int(row["k"]) if int(row["M"]) > 0 else 3
-        k_max = max(k, 3)
-        specs.append(
-            LayerSpec(
-                index=int(row["index"]),
-                c=int(row["C"]),
-                t=int(row["T"]),
-                k_max=k_max,
-                stride=int(row["stride"]),
-                width_grid=tuple(sorted({0, int(row["M"]), int(row["T"])}))
-                if row["stride"] == 1
-                else tuple(sorted({max(1, int(row["M"])), int(row["T"])})),
-                kernel_grid=tuple(range(3, k_max + 1, 2)),
-            )
-        )
-        pairs.append((int(row["M"]), k))
-    choice = SubNetChoice(tuple(pairs))
+    """The one sub-network builder: lays out `choice` along its channel flow.
+
+    ``layer_source(index, m, k, z_in)`` and ``head_source(z)`` return the
+    (weight, bias) arrays that a kept layer, and the head over the final z
+    channels, copy their prefix slices from.
+    """
     flow = channel_flow(specs, choice)
     layers = []
-    for i, (spec, (m, k)) in enumerate(zip(specs, pairs)):
-        z_in, z_out = flow[i], flow[i + 1]
+    for spec, (m, k), z_in, z_out in zip(specs, choice.pairs, flow, flow[1:]):
         if m == 0 and z_out == z_in:
-            continue
+            continue  # full identity: drop the layer, channel count unchanged
+        weight = bias = None
         if m > 0:
-            weight = T.Parameter(_he_conv(rng, m, z_in, k, dtype), f"layer{spec.index}.weight")
-            bias = T.Parameter(np.zeros(m, dtype=dtype), f"layer{spec.index}.bias")
-        else:
-            weight = bias = None
-        layers.append(
-            EvalLayer(spec=spec, m=m, k=k if m > 0 else 0, z_in=z_in, z_out=z_out,
-                      weight=weight, bias=bias)
-        )
-    classes = int(head_row["M"])
-    feat = flow[-1]
-    head_w = T.Parameter(
-        (rng.standard_normal((classes, feat)) * np.sqrt(2.0 / feat)).astype(dtype), "head.weight"
+            w, b = layer_source(spec.index, m, k, z_in)
+            weight = T.Parameter(prefix_slice(w, m, z_in, k).copy(), f"layer{spec.index}.weight")
+            bias = T.Parameter(b[:m].copy(), f"layer{spec.index}.bias")
+        layers.append(EvalLayer(spec, m, k if m > 0 else 0, z_in, z_out, weight, bias))
+    head_w, head_b = head_source(flow[-1])
+    return SubNetwork(
+        layers,
+        T.Parameter(head_w[:, : flow[-1]].copy(), "head.weight"),
+        T.Parameter(head_b.copy(), "head.bias"),
+        choice=choice,
+        specs=tuple(specs),
     )
-    head_b = T.Parameter(np.zeros(classes, dtype=dtype), "head.bias")
-    return SubNetwork(layers, head_w, head_b, choice=choice, specs=tuple(specs))
+
+
+# ---------------------------------------------------------------------------
+# architecture files
+# ---------------------------------------------------------------------------
+
+def read_json(path: str | Path, what: str):
+    """Parsed JSON of an artifact file; a ParseError names the path (and byte offset)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{what} {path} is not valid JSON at offset {e.pos}") from None
+    except RecursionError:
+        raise ParseError(f"{what} {path} nests JSON arrays or objects too deeply") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{what} {path} cannot be read: {e}") from None
+
+
+def _int_field(row: dict, field: str, where: str) -> int:
+    value = row.get(field)
+    if type(value) is not int:
+        raise ParseError(f"{where}: field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoice:
+    """The validated choice that architecture rows (see `architecture_json`) describe.
+
+    Conv rows give each layer's (M, k), in order; the dense head row is
+    skipped.  Any malformed row raises ParseError naming `where`, the row
+    index and the field.
+    """
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: must be a list of layer rows, got {type(rows).__name__}")
+    pairs = []
+    for r, row in enumerate(rows):
+        at = f"{where} row {r}"
+        if not isinstance(row, dict):
+            raise ParseError(f"{at}: must be an object, got {type(row).__name__}")
+        kind = row.get("kind")
+        if kind not in ("conv", "dense"):
+            raise ParseError(f"{at}: field 'kind' must be 'conv' or 'dense', got {kind!r}")
+        if kind == "dense":
+            continue
+        if len(pairs) == len(specs):
+            raise ParseError(f"{at}: more conv rows than the network's {len(specs)} layers")
+        spec = specs[len(pairs)]
+        m = _int_field(row, "M", at)
+        k = _int_field(row, "k", at) if m > 0 else spec.kernel_grid[0]
+        try:
+            spec.validate_choice(m, k)
+        except GridError as e:
+            raise ParseError(f"{at}: {e}") from None
+        pairs.append((m, k))
+    if len(pairs) != len(specs):
+        raise ParseError(f"{where}: {len(pairs)} conv rows, the network has {len(specs)} layers")
+    return SubNetChoice(tuple(pairs))
 
 
 def save_architecture(path: str | Path, rows: list[dict]) -> None:
     Path(path).write_text(json.dumps(rows, indent=1))
 
 
-def load_architecture(path: str | Path) -> list[dict]:
-    rows = json.loads(Path(path).read_text())
-    if not isinstance(rows, list):
-        raise GridError("architecture JSON must be an ordered list of layer rows")
-    return rows
+def load_architecture(path: str | Path, specs: Sequence[LayerSpec]) -> SubNetChoice:
+    """Read an architecture file back into a validated choice for `specs`."""
+    return choice_from_rows(read_json(path, "architecture"), specs, f"architecture {path}")

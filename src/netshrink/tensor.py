@@ -40,11 +40,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def astype(self, dtype) -> "Parameter":
-        p = Parameter(self.value.astype(dtype), self.name)
-        p.grad = self.grad.astype(dtype)
-        return p
-
     def __repr__(self) -> str:
         return f"Parameter({self.name or 'unnamed'}, shape={self.value.shape})"
 
@@ -195,10 +190,6 @@ def dense_backward(
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dy * (x > 0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

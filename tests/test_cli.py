@@ -255,6 +255,27 @@ class TestTrainDiscoveredAndReport:
         metrics = json.loads((out2 / "discovered" / "metrics.json").read_text())
         assert metrics["mode"] == "scratch"
 
+    @pytest.mark.parametrize(
+        "flag,payload,field",
+        [
+            ("--architecture", [{"index": 0, "M": 6, "k": 3}], "row 0: field 'kind'"),
+            ("--architecture", [[6, 3]], "row 0: must be an object"),
+            ("--architecture", [{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
+            ("--trajectory", {"kind": "conv"}, "must be a non-empty list"),
+        ],
+    )
+    def test_malformed_architecture_input_fails_cleanly(
+        self, tmp_path, capsys, flag, payload, field
+    ):
+        cfg = write_config(tmp_path / "c.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = str(tmp_path / "run")
+        code = main(["train-discovered", "--config", str(cfg), "--out", out, flag, str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err
+
     def test_report_prints_summary_and_is_pure(self, searched_run, capsys):
         cfg, run = searched_run
         assert main(["train-discovered", "--config", str(cfg), "--out", str(run)]) == 0

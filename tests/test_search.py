@@ -6,7 +6,7 @@ import pytest
 from netshrink import tensor as T
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
-from netshrink.errors import FeasibilityError, InfeasibleTargetError
+from netshrink.errors import FeasibilityError, InfeasibleTargetError, ParseError
 from netshrink.search import (
     LogRow,
     SampleRecord,
@@ -405,6 +405,30 @@ class TestRunSearch:
         write_trajectory(path, net, result.trajectory)
         choices = load_trajectory_choices(path, net)
         assert [c.key() for c in choices] == [r.choice.key() for r in result.trajectory]
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ('{"kind": "conv"}', "must be a non-empty list"),
+            ("[]", "must be a non-empty list"),
+            ('[{"kind": "conv"}]', "entry 0: must be a list of layer rows"),
+            (
+                '[[{"kind": "conv", "M": 6, "k": 3}, {"kind": "conv", "M": 0, "k": 0}, '
+                '{"kind": "conv", "M": 6, "k": 3}], [{"M": 6}]]',
+                "entry 1 row 0: field 'kind'",
+            ),
+            ("[[", "not valid JSON at offset 2"),
+            ("[" * 100_000 + "]" * 100_000, "nests JSON arrays or objects too deeply"),
+        ],
+        ids=["object", "empty", "entry-object", "row-kind", "truncated", "deep"],
+    )
+    def test_malformed_trajectory_names_path_entry_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "trajectory.json"
+        path.write_text(payload)
+        net = SuperNetwork(small_specs(), (6, 6), 3)
+        with pytest.raises(ParseError, match=field) as info:
+            load_trajectory_choices(path, net)
+        assert str(path) in str(info.value)
 
 
 class TestTraining:

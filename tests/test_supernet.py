@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netshrink import tensor as T
-from netshrink.errors import GridError, ShapeError, StateError
+from netshrink.errors import GridError, NetshrinkError, ParseError, ShapeError, StateError
 from netshrink.supernet import (
     ChannelSource,
     LayerSpec,
@@ -13,13 +15,13 @@ from netshrink.supernet import (
     bypass_channel_map,
     cbc_output_channels,
     channel_flow,
+    choice_from_rows,
     default_kernel_grid,
     default_width_grid,
     full_width_choice,
     kernel_window,
     ordered_dropout_mask,
     sample_width_assignments,
-    subnetwork_from_architecture,
     superkernel_mask,
 )
 
@@ -101,25 +103,33 @@ class TestCbcArithmetic:
 class TestOrderedDropout:
     def test_prefix_examples(self):
         np.testing.assert_array_equal(
-            ordered_dropout_mask(3, 8).as_array(), [1, 1, 1, 0, 0, 0, 0, 0]
+            ordered_dropout_mask([3, 0, 8], 8),
+            [[1, 1, 1, 0, 0, 0, 0, 0], [0] * 8, [1] * 8],
         )
-        assert ordered_dropout_mask(0, 4).as_array().sum() == 0
-        assert ordered_dropout_mask(4, 4).as_array().sum() == 4
+        assert ordered_dropout_mask([0], 4).sum() == 0
+        assert ordered_dropout_mask([4], 4).sum() == 4
+        assert ordered_dropout_mask([2], 4, dtype=np.float64).dtype == np.float64
 
     def test_width_beyond_total_rejected(self):
         with pytest.raises(GridError):
-            ordered_dropout_mask(5, 4)
+            ordered_dropout_mask([2, 5], 4)
+        with pytest.raises(GridError):
+            ordered_dropout_mask([-1], 4)
+        with pytest.raises(GridError):
+            ordered_dropout_mask(2, 4)  # a scalar is not a per-image vector
 
-    @given(total=st.integers(1, 64), m=st.integers(0, 64))
-    def test_prefix_property_and_complement(self, total, m):
-        if m > total:
+    @given(total=st.integers(1, 64), widths=st.lists(st.integers(0, 64), min_size=1, max_size=8))
+    def test_prefix_property_and_complement(self, total, widths):
+        if max(widths) > total:
             with pytest.raises(GridError):
-                ordered_dropout_mask(m, total)
+                ordered_dropout_mask(widths, total)
             return
-        mask = ordered_dropout_mask(m, total)
-        arr, comp = mask.as_array(), mask.complement_array()
-        assert all((arr[i] == 1) == (i < m) for i in range(total))
-        np.testing.assert_array_equal(arr + comp, np.ones(total))
+        mask = ordered_dropout_mask(widths, total)
+        comp = 1 - mask  # the training path's bypass complement
+        for row, m in zip(mask, widths):
+            assert all((row[i] == 1) == (i < m) for i in range(total))
+        np.testing.assert_array_equal(comp, (np.arange(total) >= np.array(widths)[:, None]))
+        np.testing.assert_array_equal(mask + comp, np.ones((len(widths), total)))
 
 
 class TestWidthSampling:
@@ -457,6 +467,30 @@ class TestSubNetworkTraining:
         for p, g in zip(sub.parameters(), fd):
             assert relative_error(p.grad, g, floor=1e-6) < 1e-3, p.name
 
+    def test_bypass_only_layer_gradients_match_finite_differences(self):
+        # layer 1 keeps no filter but truncates 4 channels to its T=3 bypass cap
+        specs = [
+            LayerSpec(index=0, c=2, t=4, k_max=3, stride=1),
+            LayerSpec(index=1, c=4, t=3, k_max=3, stride=1),
+            LayerSpec(index=2, c=3, t=3, k_max=3, stride=1),
+        ]
+        net = SuperNetwork(specs, (5, 5), 3, rng=np.random.default_rng(1), dtype=np.float64)
+        sub = net.extract(SubNetChoice(((4, 3), (0, 3), (2, 3))))
+        assert [l.m for l in sub.layers] == [4, 0, 2]
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, 2, 5, 5))
+        labels = np.array([1, 0, 2])
+
+        def loss_fn():
+            return T.softmax_cross_entropy(sub.forward(x), labels)[0]
+
+        sub.zero_grad()
+        _, d = T.softmax_cross_entropy(sub.forward(x, record=True), labels)
+        sub.backward(d)
+        fd = finite_difference_grads(loss_fn, sub.parameters(), h=1e-3)
+        for p, g in zip(sub.parameters(), fd):
+            assert relative_error(p.grad, g, floor=1e-6) < 1e-3, p.name
+
     def test_shrink_reuses_overlapping_slices(self):
         net = toy_net(seed=10)
         full = net.extract(net.full_choice())
@@ -469,11 +503,100 @@ class TestSubNetworkTraining:
                 l.weight.value, s.weight.value[: l.m, : l.z_in, win, win]
             )
 
+    def test_shrink_rejects_a_choice_of_another_length_or_a_growth(self):
+        net = toy_net()
+        sub = net.extract(SubNetChoice(((4, 3), (4, 3), (2, 3))))
+        with pytest.raises(GridError, match="choice has 1 layers, network has 3"):
+            sub.shrink_to(SubNetChoice(((3, 3),)))
+        with pytest.raises(GridError, match=r"layer 1: \(5,3\) does not shrink \(4,3\)"):
+            sub.shrink_to(SubNetChoice(((4, 3), (5, 3), (2, 3))))
+
     def test_backward_without_forward_raises(self):
         net = toy_net()
         sub = net.extract(net.full_choice())
         with pytest.raises(StateError):
             sub.backward(np.zeros((1, 3)))
+
+
+def mixed_small_specs():
+    """Expansion (T > C) with removal, a stride-2 layer, and a second expansion."""
+    return [
+        LayerSpec(index=0, c=3, t=6, k_max=5, stride=1, width_grid=(0, 2, 6)),
+        LayerSpec(index=1, c=6, t=4, k_max=3, stride=2, width_grid=(1, 2, 4)),
+        LayerSpec(index=2, c=4, t=8, k_max=3, stride=1, width_grid=(0, 2, 4, 8)),
+        LayerSpec(index=3, c=8, t=8, k_max=3, stride=1, width_grid=(0, 4, 8)),
+    ]
+
+
+def every_choice(specs):
+    per_layer = [
+        [(m, k) for m in s.width_grid for k in (s.kernel_grid if m > 0 else s.kernel_grid[:1])]
+        for s in specs
+    ]
+    return [SubNetChoice(pairs) for pairs in itertools.product(*per_layer)]
+
+
+def layer_structure(sub):
+    return [(l.spec.index, l.m, l.k, l.z_in, l.z_out) for l in sub.layers]
+
+
+class TestUnifiedPaths:
+    @pytest.mark.parametrize("specs", [toy_specs(), mixed_small_specs()], ids=["toy", "mixed"])
+    def test_eval_is_bitwise_the_extracted_forward(self, specs):
+        net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(20))
+        x = np.random.default_rng(21).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        choices = every_choice(specs)
+        assert any(c.widths[0] == 0 for c in choices)
+        for choice in choices:
+            np.testing.assert_array_equal(
+                net.extract(choice).forward(x), net.forward_eval(x, choice), err_msg=str(choice)
+            )
+
+    def test_shrink_is_bitwise_a_direct_extraction(self):
+        net = SuperNetwork(mixed_small_specs(), (8, 8), 3, rng=np.random.default_rng(22))
+        choices = every_choice(net.specs)
+        pairs_checked = 0
+        for c1 in choices[::7]:
+            big = net.extract(c1)
+            for c2 in choices:
+                if any(m2 > m1 or (m2 > 0 and k2 > k1)
+                       for (m1, k1), (m2, k2) in zip(c1.pairs, c2.pairs)):
+                    continue
+                shrunk, direct = big.shrink_to(c2), net.extract(c2)
+                assert layer_structure(shrunk) == layer_structure(direct)
+                got, want = shrunk.state_dict(), direct.state_dict()
+                assert list(got) == list(want)
+                for name in want:
+                    np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+                pairs_checked += 1
+        assert pairs_checked > 100
+
+    def test_fresh_extraction_uses_own_fan_in(self):
+        specs = [
+            LayerSpec(index=0, c=3, t=16, k_max=5, stride=1),
+            LayerSpec(index=1, c=16, t=32, k_max=3, stride=2),
+            LayerSpec(index=2, c=32, t=32, k_max=3, stride=1),
+        ]
+        net = SuperNetwork(specs, (8, 8), 4, rng=np.random.default_rng(23))
+        choice = SubNetChoice(((16, 3), (24, 3), (16, 3)))
+        fresh = net.extract(choice, rng=np.random.default_rng(5))
+        again = net.extract(choice, rng=np.random.default_rng(5))
+        other = net.extract(choice, rng=np.random.default_rng(6))
+        assert layer_structure(fresh) == layer_structure(net.extract(choice))
+        for a, b, c in zip(fresh.parameters(), again.parameters(), other.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
+            assert a.value.dtype == np.float32
+            if a.name.endswith("weight"):
+                assert not np.array_equal(a.value, c.value)
+        for layer in fresh.layers:
+            want = np.sqrt(2.0 / (layer.z_in * layer.k**2))
+            assert layer.weight.value.std() == pytest.approx(want, rel=0.1), layer.spec.index
+            assert np.all(layer.bias.value == 0)
+        assert fresh.head_w.value.std() == pytest.approx(np.sqrt(2.0 / 24), rel=0.2)
+        # the shared super-network weights are left untouched
+        untouched = SuperNetwork(specs, (8, 8), 4, rng=np.random.default_rng(23))
+        for a, b in zip(net.parameters(), untouched.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
 
 
 class TestPersistence:
@@ -498,14 +621,52 @@ class TestPersistence:
         assert [r["kind"] for r in rows] == ["conv", "conv", "conv", "dense"]
         assert set(rows[0]) == {"index", "kind", "C", "T", "M", "k", "stride"}
 
-    def test_architecture_rebuild_channel_flow(self):
+    def test_architecture_rows_round_trip(self):
         net = toy_net(seed=12)
-        choice = SubNetChoice(((4, 3), (0, 3), (2, 3)))
-        rows = net.architecture_json(choice)
-        sub = subnetwork_from_architecture(rows, np.random.default_rng(0))
-        x = np.random.default_rng(19).standard_normal((2, 3, 6, 6)).astype(np.float32)
-        ref = net.extract(choice)
-        assert sub.forward(x).shape == ref.forward(x).shape
+        for choice in (net.full_choice(), SubNetChoice(((4, 3), (0, 3), (2, 3)))):
+            rows = net.architecture_json(choice)
+            assert choice_from_rows(rows, net.specs, "arch") == choice
+
+    @pytest.mark.parametrize(
+        "rows,field",
+        [
+            ({"kind": "conv"}, "must be a list"),
+            ([{"M": 6, "k": 3}], "row 0: field 'kind'"),
+            ([[6, 3]], "row 0: must be an object"),
+            ([{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
+            ([{"kind": "conv", "M": 6, "k": 3}, {"kind": "conv", "M": 6}], "row 1: field 'k'"),
+            ([{"kind": "conv", "M": 7, "k": 3}], "row 0: layer 0: width 7"),
+            ([{"kind": "conv", "M": 6, "k": 3}], "1 conv rows, the network has 3"),
+            ([{"kind": "conv", "M": True, "k": 3}], "row 0: field 'M'"),
+        ],
+    )
+    def test_malformed_rows_name_the_row_and_field(self, rows, field):
+        net = toy_net()
+        with pytest.raises(ParseError, match=field) as info:
+            choice_from_rows(rows, net.specs, "arch.json")
+        assert str(info.value).startswith("arch.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=4)
+            | st.sampled_from(["conv", "dense"]),
+            lambda inner: st.lists(inner, max_size=5)
+            | st.dictionaries(
+                st.sampled_from(["kind", "M", "k", "index"]) | st.text(max_size=3),
+                inner,
+                max_size=4,
+            ),
+            max_leaves=20,
+        )
+    )
+    def test_only_netshrink_errors_escape_the_row_parser(self, rows):
+        net = toy_net()
+        try:
+            choice = choice_from_rows(rows, net.specs, "fuzz")
+        except NetshrinkError:
+            return
+        net.validate_choice(choice)
 
 
 class TestChannelFlowHelper:
