@@ -9,7 +9,7 @@ pass-through of its first min(C, T) inputs.
 import numpy as np
 
 from netshrink import bypass_channel_map, cbc_output_channels
-from netshrink.supernet import LayerSpec, SuperNetwork
+from netshrink.supernet import LayerSpec, SubNetChoice, SuperNetwork, sliced_layer
 
 
 def show(c, t, label):
@@ -32,9 +32,10 @@ show(4, 2, "case 3 — more inputs than filters: only T inputs may bypass")
 print("\nbottleneck cap: C=4, T=2 ->", [cbc_output_channels(4, 2, m) for m in (2, 1, 0)])
 
 # A removed layer really is the identity: feed a random image through a
-# stride-1 layer at M=0 and nothing changes.
+# stride-1 layer at M=0 and nothing changes, so extraction drops the layer.
 spec = LayerSpec(index=0, c=5, t=5, k_max=3, stride=1)
 net = SuperNetwork([spec], (6, 6), 2, rng=np.random.default_rng(0))
 x = np.random.default_rng(1).standard_normal((1, 5, 6, 6)).astype(np.float32)
-out, _ = net.forward_layer(0, x, m=0, k=3, training=False)
+out, _ = sliced_layer(spec, x, 0, None, None)
 print("\nM=0 pass-through, max |out - in|:", float(np.abs(out - x).max()))
+print("conv layers left in the extracted M=0 network:", len(net.extract(SubNetChoice(((0, 3),))).layers))

@@ -21,7 +21,7 @@ from . import search as searchmod
 from .config import ExperimentConfig, load_config
 from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table, total_resource
 from .data import Dataset, load_raster, synth_classification, three_way_split
-from .errors import ConfigError, NetshrinkError, StateError
+from .errors import ConfigError, NetshrinkError, StateError, read_json
 from .search import SearchConfig, run_search, train_subnetwork, trajectory_replay_finetune
 from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
@@ -118,7 +118,6 @@ def _search_config(cfg: ExperimentConfig, model, net: SuperNetwork) -> SearchCon
         init_reduction=s.init_reduction,
         decay=s.decay,
         target_resource=target,
-        metric=s.metric,
         seed=cfg.seed + cfgmod.SEED_SEARCH,
     )
 
@@ -216,19 +215,19 @@ def cmd_train_discovered(args) -> int:
         )
     with _run_lock(out):
         started = time.perf_counter()
-        train, holdout, test = _splits(cfg)
         net = _build_supernet(cfg)
-        model = _build_cost_model(cfg)
-        mac_model = MacModel(cfg.layers, cfg.input_hw)
-        rng = np.random.default_rng(cfg.seed + cfgmod.SEED_DISCOVERED)
         mode = cfg.discovered.mode
-
+        # parse the input before the data and cost-model set-up, so a bad file fails fast
         if architecture_path is not None:
             choices = [load_architecture(architecture_path, cfg.layers)]
             mode = "scratch"  # a bare architecture has no trajectory to replay
         else:
             choices = searchmod.load_trajectory_choices(trajectory_path, net)
         final_choice = choices[-1]
+        train, holdout, test = _splits(cfg)
+        model = _build_cost_model(cfg)
+        mac_model = MacModel(cfg.layers, cfg.input_hw)
+        rng = np.random.default_rng(cfg.seed + cfgmod.SEED_DISCOVERED)
 
         if mode == "replay":
             checkpoint = args.checkpoint or str(out / "supernet" / "checkpoint.json")
@@ -290,11 +289,11 @@ def cmd_report(args) -> int:
         stage_file = run_dir / stage / "stage.json"
         if not stage_file.exists():
             raise ConfigError(f"missing run artifact: {stage_file}")
-        stages[stage] = json.loads(stage_file.read_text())
+        stages[stage] = read_json(stage_file, "stage record")
     metrics_file = run_dir / "discovered" / "metrics.json"
     if not metrics_file.exists():
         raise ConfigError(f"missing run artifact: {metrics_file}")
-    metrics = json.loads(metrics_file.read_text())
+    metrics = read_json(metrics_file, "metrics")
 
     t_super = stages["supernet"]["seconds"]
     t_search = stages["search"]["seconds"]

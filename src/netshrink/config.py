@@ -6,12 +6,11 @@ checked for existence up front.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, read_json
 from .data import RASTER_MAGIC
 from .supernet import LayerSpec
 
@@ -219,10 +218,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at offset {e.pos}: {e.msg}") from e
+    raw = read_json(path, "config")
     top_allowed = {"seed", "dataset", "network", "training", "search", "cost", "discovered"}
     _section(raw, "config", top_allowed, {"seed", "dataset", "network", "search"})
 

@@ -7,12 +7,13 @@ sum of per-layer values, so the search can budget reductions additively.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import LookupMissError, ParseError
+from .errors import LookupMissError, ParseError, read_json
 from .supernet import LayerSpec, SubNetChoice, spatial_flow
 
 LATENCY_TABLE_FORMAT = "netshrink-latency-table-v1"
@@ -153,26 +154,52 @@ class LatencyTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "LatencyTable":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ParseError(f"latency table {path}: invalid JSON at offset {e.pos}") from e
-        meta = raw.pop("meta", {})
+        """Read a table written by `save`; a ParseError names the path and the bad field."""
+        raw = _object(read_json(path, "latency table"), f"latency table {path}")
+        meta = _object(raw.pop("meta", {}), f"latency table {path} field 'meta'")
+        if meta.get("format") != LATENCY_TABLE_FORMAT:
+            raise ParseError(
+                f"latency table {path}: field 'meta.format' must be "
+                f"{LATENCY_TABLE_FORMAT!r}, got {meta.get('format')!r}"
+            )
         layers: dict[int, dict[int, dict[int, float]]] = {}
         for layer_key, by_k in raw.items():
-            try:
-                layers[int(layer_key)] = {
-                    int(k): {int(m): float(ms) for m, ms in by_m.items()}
-                    for k, by_m in by_k.items()
-                }
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"latency table {path}: bad entry under layer {layer_key!r}") from e
+            at = f"latency table {path} layer {layer_key!r}"
+            layers[_int_key(layer_key, at)] = by_kernel = {}
+            for k_key, by_m in _object(by_k, at).items():
+                at_k = f"{at} kernel {k_key!r}"
+                by_kernel[_int_key(k_key, at_k)] = row = {}
+                for m_key, ms in _object(by_m, at_k).items():
+                    row[_int_key(m_key, at_k)] = _latency(ms, f"{at_k} width {m_key!r}")
         return cls(
             layers,
             device=meta.get("device", "unknown"),
             note=meta.get("note", ""),
             interpolate=bool(meta.get("interpolate", False)),
         )
+
+
+def _object(value, at: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{at}: must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _latency(ms, at: str) -> float:
+    try:
+        value = float(ms) if type(ms) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{at}: latency must be a finite number, got {ms!r}")
+    return value
+
+
+def _int_key(key: str, at: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ParseError(f"{at}: key {key!r} is not an integer") from None
 
 
 def synthetic_latency_table(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that raises them."""
+
+import json
+from pathlib import Path
 
 
 class NetshrinkError(Exception):
@@ -39,3 +42,17 @@ class ConfigError(NetshrinkError, ValueError):
 
 class ParseError(NetshrinkError, ValueError):
     """A binary/JSON artifact could not be parsed; the message includes the byte offset."""
+
+
+def read_json(path: str | Path, what: str):
+    """Parsed JSON of an artifact file; a ParseError names the path (and byte offset)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{what} {path} is not valid JSON at offset {e.pos}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{what} {path} cannot be read: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{what} {path} nests JSON arrays or objects too deeply") from None
+    except ValueError as e:  # e.g. an integer literal too long to convert
+        raise ParseError(f"{what} {path} cannot be parsed: {e}") from None

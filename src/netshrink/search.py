@@ -21,14 +21,13 @@ import numpy as np
 from . import tensor as T
 from .cost import total_resource
 from .data import Dataset
-from .errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
+from .errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError, read_json
 from .supernet import (
     LayerSpec,
     SubNetChoice,
     SubNetwork,
     SuperNetwork,
     choice_from_rows,
-    read_json,
     sample_width_assignments,
 )
 
@@ -50,7 +49,6 @@ class SearchConfig:
     init_reduction: float  # fraction of the initial resource
     decay: float  # per-iteration multiplier on the reduction
     target_resource: float
-    metric: str = "latency"
     seed: int = 0
     max_attempts: int = 200
 
@@ -65,8 +63,6 @@ class SearchConfig:
             raise GridError(f"decay must lie in (0, 1], got {self.decay}")
         if self.target_resource <= 0:
             raise GridError(f"target_resource must be > 0, got {self.target_resource}")
-        if self.metric not in ("latency", "macs"):
-            raise GridError(f"metric must be latency or macs, got {self.metric!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import GridError, ParseError, ShapeError, StateError
+from .errors import GridError, ParseError, ShapeError, StateError, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,8 @@ class LayerSpec:
     stride: int = 1
     width_grid: tuple[int, ...] = ()
     kernel_grid: tuple[int, ...] = ()
-    kind: str = "conv"
 
     def __post_init__(self):
-        if self.kind not in ("conv", "dense"):
-            raise GridError(f"layer {self.index}: kind must be conv or dense, got {self.kind!r}")
         if self.c < 1 or self.t < 1:
             raise GridError(f"layer {self.index}: C and T must be >= 1, got C={self.c}, T={self.t}")
         if self.k_max % 2 == 0 or self.k_max < 3:
@@ -184,14 +181,6 @@ class LayerSpec:
     @property
     def bypass_enabled(self) -> bool:
         return self.stride == 1
-
-    def output_channels(self, m: int) -> int:
-        """Nominal output channel count Z of this layer under width m."""
-        if self.bypass_enabled:
-            return cbc_output_channels(self.c, self.t, m)
-        if m < 1:
-            raise GridError(f"layer {self.index}: stride {self.stride} cannot take width 0")
-        return m
 
     def validate_choice(self, m: int, k: int) -> None:
         if m not in self.width_grid:
@@ -302,7 +291,47 @@ def _he_dense(rng: np.random.Generator, classes: int, feat: int, dtype) -> np.nd
     return (rng.standard_normal((classes, feat)) * std).astype(dtype)
 
 
-class SuperNetwork:
+class _Network:
+    """What the super-network and extracted networks share: the pooled dense head."""
+
+    head_w: T.Parameter
+    head_b: T.Parameter
+
+    def parameters(self) -> list[T.Parameter]:
+        raise NotImplementedError
+
+    def zero_grad(self) -> None:
+        for p in self.parameters():
+            p.zero_grad()
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {p.name: p.value for p in self.parameters()}
+
+    def _head_forward(self, out: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Logits of the last feature map, plus the head's part of the backward cache."""
+        feat = T.global_avg_pool(out)
+        logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
+        return logits, {"feat": feat, "conv_shape": out.shape}
+
+    def _head_backward(self, dlogits: np.ndarray, cache: dict) -> np.ndarray:
+        """Accumulate head gradients; returns the gradient of the last feature map."""
+        dfeat, dw = T.dense_backward(dlogits, cache["feat"], self.head_w.value)
+        self.head_w.grad += dw
+        self.head_b.grad += dlogits.sum(axis=0)
+        return T.global_avg_pool_backward(dfeat, cache["conv_shape"])
+
+
+def _accuracy(forward: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
+              labels: np.ndarray, batch_size: int) -> float:
+    """Top-1 accuracy of `forward`'s logits, one call per batch of images."""
+    hits = 0
+    for lo in range(0, images.shape[0], batch_size):
+        logits = forward(images[lo : lo + batch_size])
+        hits += int((logits.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
+    return hits / images.shape[0]
+
+
+class SuperNetwork(_Network):
     """Shared full-size weights; every sub-network is a prefix slice of them."""
 
     def __init__(
@@ -334,8 +363,6 @@ class SuperNetwork:
                 )
         if classes < 2:
             raise GridError(f"need >= 2 classes, got {classes}")
-        if any(s.kind != "conv" for s in specs):
-            raise GridError("searchable layers must be conv; the head is a dense classifier")
         rng = rng or np.random.default_rng(0)
         self.specs = list(specs)
         self.input_hw = tuple(input_hw)
@@ -356,40 +383,16 @@ class SuperNetwork:
     def parameters(self) -> list[T.Parameter]:
         return [*self.weights, *self.biases, self.head_w, self.head_b]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def full_choice(self) -> SubNetChoice:
         return full_width_choice(self.specs)
 
     def validate_choice(self, choice: SubNetChoice) -> None:
         check_choice(self.specs, choice)
 
-    # -- one layer, both modes ------------------------------------------------
-
-    def forward_layer(
-        self,
-        index: int,
-        x: np.ndarray,
-        m,
-        k: int,
-        training: bool = False,
-    ):
-        """Run layer `index` under width m and kernel k.
-
-        Training mode keeps full-size tensors and applies per-image prefix
-        masks (m may be a per-image vector); eval mode takes the sliced
-        sub-network path.  Returns (out, cache); cache is None in eval mode.
-        """
-        if training:
-            m_vec = np.full(x.shape[0], m) if np.ndim(m) == 0 else np.asarray(m)
-            return self._layer_train(index, x, m_vec, k)
-        if np.ndim(m) != 0:
-            raise GridError("eval mode takes a single width, not per-image widths")
-        return self._layer_eval(index, x, int(m), k), None
+    # -- training: full-size tensors under per-image prefix masks --------------
 
     def _layer_train(self, index: int, x: np.ndarray, widths: np.ndarray, k: int):
+        """Layer `index` with per-image widths [N] and kernel k; returns (out, cache)."""
         spec = self.specs[index]
         if x.shape[1] != spec.c:
             raise ShapeError(
@@ -431,24 +434,6 @@ class SuperNetwork:
             dx[:, :mct] += dout[:, :mct] * cache["comp"][:, :, None, None]
         return dx
 
-    def _layer_eval(self, index: int, x: np.ndarray, m: int, k: int) -> np.ndarray:
-        spec = self.specs[index]
-        z_in = x.shape[1]
-        if z_in > spec.c:
-            raise ShapeError(
-                f"layer {spec.index}: eval input axis 1 has {z_in} channels, "
-                f"spec allows at most {spec.c}"
-            )
-        if not spec.bypass_enabled and m < 1:
-            raise GridError(f"layer {spec.index}: stride {spec.stride} cannot take width 0")
-        weight = bias = None
-        if m > 0:
-            weight = prefix_slice(self.weights[index].value, m, z_in, k)
-            bias = self.biases[index].value[:m]
-        return sliced_layer(spec, x, m, weight, bias)[0]
-
-    # -- whole network --------------------------------------------------------
-
     def forward_train(self, x: np.ndarray, widths: np.ndarray, kernels: Sequence[int]) -> np.ndarray:
         """Full-size forward with per-image widths [N, L] and per-layer kernels [L]."""
         widths = np.asarray(widths)
@@ -462,9 +447,8 @@ class SuperNetwork:
         for i in range(len(self.specs)):
             out, cache = self._layer_train(i, out, widths[:, i], kernels[i])
             caches.append(cache)
-        feat = T.global_avg_pool(out)
-        logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
-        self._cache = {"caches": caches, "feat": feat, "conv_shape": out.shape}
+        logits, head = self._head_forward(out)
+        self._cache = {"caches": caches, "head": head}
         return logits
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -473,32 +457,21 @@ class SuperNetwork:
             raise StateError("backward called before forward_train recorded a pass")
         cache = self._cache
         self._cache = None
-        self.head_w.grad += dlogits.T @ cache["feat"]
-        self.head_b.grad += dlogits.sum(axis=0)
-        dfeat = T.dense_backward(dlogits, cache["feat"], self.head_w.value)[0]
-        dout = T.global_avg_pool_backward(dfeat, cache["conv_shape"])
+        dout = self._head_backward(dlogits, cache["head"])
         for layer_cache in reversed(cache["caches"]):
             dout = self._layer_backward(dout, layer_cache)
 
+    # -- evaluation: the extracted sub-network ----------------------------------
+
     def forward_eval(self, x: np.ndarray, choice: SubNetChoice) -> np.ndarray:
-        """Sliced sub-network forward; never touches the dropped weights."""
-        self.validate_choice(choice)
-        out = x
-        for i, (m, k) in enumerate(choice.pairs):
-            out = self._layer_eval(i, out, m, k)
-        feat = T.global_avg_pool(out)
-        z = feat.shape[1]
-        return T.dense_forward(feat, self.head_w.value[:, :z]) + self.head_b.value
+        """Logits of the chosen sub-network: the forward of ``extract(choice)``."""
+        return self.extract(choice).forward(x)
 
     def evaluate(
         self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice, batch_size: int = 256
     ) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
-        hits = 0
-        for lo in range(0, images.shape[0], batch_size):
-            logits = self.forward_eval(images[lo : lo + batch_size], choice)
-            hits += int((logits.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
-        return hits / images.shape[0]
+        return _accuracy(lambda x: self.forward_eval(x, choice), images, labels, batch_size)
 
     # -- export ----------------------------------------------------------------
 
@@ -510,7 +483,7 @@ class SuperNetwork:
             rows.append(
                 {
                     "index": spec.index,
-                    "kind": spec.kind,
+                    "kind": "conv",
                     "C": spec.c,
                     "T": spec.t,
                     "M": m,
@@ -548,9 +521,6 @@ class SuperNetwork:
                 for s in self.specs
             ],
         }
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
 
     def load_state_dict(self, tensors: dict[str, np.ndarray]) -> None:
         for p in self.parameters():
@@ -617,7 +587,7 @@ class EvalLayer:
     bias: T.Parameter | None
 
 
-class SubNetwork:
+class SubNetwork(_Network):
     """A discovered architecture with its own weights; trainable on its own."""
 
     def __init__(
@@ -642,10 +612,6 @@ class SubNetwork:
                 ps += [l.weight, l.bias]
         return ps + [self.head_w, self.head_b]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns."""
         caches = []
@@ -665,10 +631,9 @@ class SubNetwork:
             if record:
                 caches.append({"x": out, "y": y, "cols": cols})
             out = nxt
-        feat = T.global_avg_pool(out)
-        logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
+        logits, head = self._head_forward(out)
         if record:
-            self._cache = {"caches": caches, "feat": feat, "conv_shape": out.shape}
+            self._cache = {"caches": caches, "head": head}
         return logits
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -676,10 +641,7 @@ class SubNetwork:
             raise StateError("backward called before a recorded forward pass")
         cache = self._cache
         self._cache = None
-        self.head_w.grad += dlogits.T @ cache["feat"]
-        self.head_b.grad += dlogits.sum(axis=0)
-        dfeat = T.dense_backward(dlogits, cache["feat"], self.head_w.value)[0]
-        dout = T.global_avg_pool_backward(dfeat, cache["conv_shape"])
+        dout = self._head_backward(dlogits, cache["head"])
         for i in reversed(range(len(self.layers))):
             dout = self._layer_backward(self.layers[i], dout, cache["caches"][i], need_dx=i > 0)
 
@@ -707,11 +669,7 @@ class SubNetwork:
         return dx
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
-        hits = 0
-        for lo in range(0, images.shape[0], batch_size):
-            logits = self.forward(images[lo : lo + batch_size])
-            hits += int((logits.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
-        return hits / images.shape[0]
+        return _accuracy(self.forward, images, labels, batch_size)
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""
@@ -727,9 +685,6 @@ class SubNetwork:
             lambda i, m, k, z_in: kept[i],
             lambda z: (self.head_w.value, self.head_b.value),
         )
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
 
 
 def _build_subnetwork(
@@ -768,18 +723,6 @@ def _build_subnetwork(
 # ---------------------------------------------------------------------------
 # architecture files
 # ---------------------------------------------------------------------------
-
-def read_json(path: str | Path, what: str):
-    """Parsed JSON of an artifact file; a ParseError names the path (and byte offset)."""
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{what} {path} is not valid JSON at offset {e.pos}") from None
-    except RecursionError:
-        raise ParseError(f"{what} {path} nests JSON arrays or objects too deeply") from None
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"{what} {path} cannot be read: {e}") from None
-
 
 def _int_field(row: dict, field: str, where: str) -> int:
     value = row.get(field)

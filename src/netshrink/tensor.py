@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParseError, ShapeError
+from .errors import ParseError, ShapeError, read_json
 
 DEFAULT_DTYPE = np.float32
 
@@ -253,10 +253,7 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint. Returns (tensors, meta)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"checkpoint {path} is not valid JSON at offset {e.pos}") from e
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict):
         raise ParseError(
             f"checkpoint {path}: top level must be a JSON object, got {type(payload).__name__}"

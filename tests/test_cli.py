@@ -1,15 +1,18 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netshrink import cli
+from netshrink import tensor as T
 from netshrink.cli import main
 from netshrink.config import load_config
-from netshrink.cost import MacModel, synthetic_latency_table, total_resource
-from netshrink.errors import ConfigError
+from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
+from netshrink.errors import ConfigError, NetshrinkError
 from netshrink.supernet import SubNetChoice
 
 
@@ -276,6 +279,21 @@ class TestTrainDiscoveredAndReport:
         err = capsys.readouterr().err
         assert str(bad) in err and field in err
 
+    @pytest.mark.parametrize("flag", ["--architecture", "--trajectory"])
+    def test_malformed_input_fails_before_any_set_up(self, tmp_path, capsys, monkeypatch, flag):
+        def not_yet(cfg):
+            raise AssertionError("set-up ran before the input file was parsed")
+
+        monkeypatch.setattr(cli, "_splits", not_yet)
+        monkeypatch.setattr(cli, "_build_cost_model", not_yet)
+        cfg = write_config(tmp_path / "c.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"kind": "conv", "M": 6,')
+        out = str(tmp_path / "run")
+        code = main(["train-discovered", "--config", str(cfg), "--out", out, flag, str(bad)])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_report_prints_summary_and_is_pure(self, searched_run, capsys):
         cfg, run = searched_run
         assert main(["train-discovered", "--config", str(cfg), "--out", str(run)]) == 0
@@ -350,3 +368,40 @@ class TestRasterAndTableFiles:
         assert main(["train-discovered", "--config", str(cfg_path), "--out", str(run)]) == 0
         metrics = json.loads((run / "discovered" / "metrics.json").read_text())
         assert metrics["mode"] == "scratch"
+
+
+CORRUPT_JSON = [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param('{"seed": 3, "dataset": ', id="invalid-json"),
+    pytest.param(b'{"seed": "\xff\xfe"}', id="non-utf8"),
+    pytest.param("1" * 5000, id="over-long-integer"),
+]
+
+
+def write_raw(path: Path, content) -> Path:
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return path
+
+
+class TestCorruptJsonFiles:
+    @pytest.mark.parametrize("content", CORRUPT_JSON)
+    @pytest.mark.parametrize(
+        "loader",
+        [load_config, LatencyTable.load, T.load_checkpoint],
+        ids=["config", "latency-table", "checkpoint"],
+    )
+    def test_every_loader_raises_only_netshrink_errors(self, tmp_path, loader, content):
+        path = write_raw(tmp_path / "bad.json", content)
+        with pytest.raises(NetshrinkError, match=re.escape(str(path))):
+            loader(path)
+
+    @pytest.mark.parametrize("content", CORRUPT_JSON)
+    def test_report_exits_1_on_corrupt_metrics(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        for stage in ("supernet", "search", "discovered"):
+            (run / stage).mkdir(parents=True)
+            record = {"format": cli.STAGE_FORMAT, "stage": stage, "seconds": 1.0, "seed": 3}
+            (run / stage / "stage.json").write_text(json.dumps(record))
+        metrics = write_raw(run / "discovered" / "metrics.json", content)
+        assert main(["report", "--out", str(run)]) == 1
+        assert str(metrics) in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netshrink.cost import (
     CO2_LBS_PER_GPU_HOUR,
+    LATENCY_TABLE_FORMAT,
     LatencyTable,
     MacModel,
     co2_estimate,
@@ -15,10 +17,13 @@ from netshrink.cost import (
     synthetic_latency_table,
     total_resource,
 )
-from netshrink.errors import LookupMissError
+from netshrink.errors import LookupMissError, NetshrinkError, ParseError
 from netshrink.supernet import LayerSpec, SubNetChoice, full_width_choice, spatial_flow
 
 from reference import count_conv_taps
+
+
+TABLE_META = {"format": LATENCY_TABLE_FORMAT}
 
 
 def stride1_specs():
@@ -169,6 +174,58 @@ class TestLatencyTable:
         raw = json.loads(path.read_text())
         assert "0" in raw and "3" in raw["0"]
         assert all(isinstance(key, str) for key in raw["0"]["3"])
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ([{"0": {}}], ": must be a JSON object, got list"),
+            ({"0": {"3": {"4": 1.0}}}, "field 'meta.format' must be"),
+            ({"meta": {"format": "bogus"}}, "field 'meta.format' must be"),
+            ({"meta": []}, "field 'meta': must be a JSON object, got list"),
+            ({"meta": TABLE_META, "0": [1.0]}, "layer '0': must be a JSON object, got list"),
+            ({"meta": TABLE_META, "x": {}}, "layer 'x': key 'x' is not an integer"),
+            ({"meta": TABLE_META, "0": {"3": [1.0]}}, "layer '0' kernel '3': must be a JSON object"),
+            ({"meta": TABLE_META, "0": {"k3": {}}}, "kernel 'k3': key 'k3' is not an integer"),
+            ({"meta": TABLE_META, "0": {"3": {"four": 1.0}}}, "kernel '3': key 'four' is not"),
+            ({"meta": TABLE_META, "0": {"3": {"4": "1.5"}}}, "kernel '3' width '4': latency must be"),
+            ({"meta": TABLE_META, "0": {"3": {"4": None}}}, "kernel '3' width '4': latency must be"),
+            ({"meta": TABLE_META, "0": {"3": {"4": float("nan")}}}, "width '4': latency must be"),
+            ({"meta": TABLE_META, "0": {"3": {"4": 10**400}}}, "width '4': latency must be"),
+        ],
+    )
+    def test_malformed_table_names_path_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "latency.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(field)) as info:
+            LatencyTable.load(path)
+        assert str(info.value).startswith(f"latency table {path}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layers=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(
+                st.sampled_from(["0", "1", "3", "5", "-1"]) | st.text(max_size=3),
+                inner,
+                max_size=4,
+            ),
+            max_leaves=20,
+        ),
+        meta=st.sampled_from([TABLE_META, {"format": "bogus"}, {}, [], None]),
+    )
+    def test_only_netshrink_errors_escape_the_table_loader(self, tmp_path_factory, layers, meta):
+        payload = dict(layers, meta=meta) if isinstance(layers, dict) else layers
+        path = tmp_path_factory.mktemp("fuzz") / "latency.json"
+        path.write_text(json.dumps(payload))
+        try:
+            table = LatencyTable.load(path)
+        except NetshrinkError:
+            return
+        for layer, by_k in table.layers.items():
+            for k, by_m in by_k.items():
+                assert type(layer) is int and type(k) is int
+                assert all(type(m) is int and np.isfinite(v) for m, v in by_m.items())
 
     def test_interpolation_through_table_lookup(self):
         specs = stride1_specs()[:1]

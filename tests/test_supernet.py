@@ -21,7 +21,9 @@ from netshrink.supernet import (
     full_width_choice,
     kernel_window,
     ordered_dropout_mask,
+    prefix_slice,
     sample_width_assignments,
+    sliced_layer,
     superkernel_mask,
 )
 
@@ -216,28 +218,40 @@ class TestLayerSpec:
             LayerSpec(index=0, c=4, t=4, k_max=5, kernel_grid=(3, 4, 5))
 
 
+def eval_layer(net, li, x, m, k):
+    """Layer li as an extracted network runs it: `sliced_layer` on the prefix slice."""
+    weight = bias = None
+    if m > 0:
+        weight = prefix_slice(net.weights[li].value, m, x.shape[1], k)
+        bias = net.biases[li].value[:m]
+    return sliced_layer(net.specs[li], x, m, weight, bias)[0]
+
+
+def train_layer(net, li, x, m, k):
+    """Layer li in training mode, every image at width m."""
+    return net._layer_train(li, x, np.full(x.shape[0], m), k)[0]
+
+
 class TestForwardWithCbc:
     def test_width_zero_is_identity_on_first_channels(self):
         net = toy_net()
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6, 6, 6)).astype(np.float32)
-        out, _ = net.forward_layer(1, x, m=0, k=5, training=False)
-        np.testing.assert_array_equal(out, x)  # C = T = 6 here
-        out_t, _ = net.forward_layer(1, x, m=0, k=5, training=True)
-        np.testing.assert_array_equal(out_t, x)
+        np.testing.assert_array_equal(eval_layer(net, 1, x, 0, 5), x)  # C = T = 6 here
+        np.testing.assert_array_equal(train_layer(net, 1, x, 0, 5), x)
 
     def test_width_zero_truncates_to_bypass_cap(self):
         net = toy_net()
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
-        out, _ = net.forward_layer(2, x, m=0, k=3, training=False)  # C=6, T=4
+        out = eval_layer(net, 2, x, 0, 3)  # C=6, T=4
         np.testing.assert_array_equal(out, x[:, :4])
 
     def test_full_width_is_plain_convolution(self):
         net = toy_net()
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
-        out, _ = net.forward_layer(1, x, m=6, k=5, training=False)
+        out = eval_layer(net, 1, x, 6, 5)
         want = T.relu(
             loop_conv2d(x, net.weights[1].value, 1)
             + net.biases[1].value[None, :, None, None]
@@ -251,8 +265,8 @@ class TestForwardWithCbc:
             x = rng.standard_normal((3, spec.c, 6, 6)).astype(np.float32)
             for m in spec.width_grid:
                 for k in spec.kernel_grid:
-                    masked, _ = net.forward_layer(li, x, m, k, training=True)
-                    sliced, _ = net.forward_layer(li, x, m, k, training=False)
+                    masked = train_layer(net, li, x, m, k)
+                    sliced = eval_layer(net, li, x, m, k)
                     z = sliced.shape[1]
                     assert normalized_max_error(masked[:, :z], sliced) < 1e-5
                     assert np.all(masked[:, z:] == 0)
@@ -288,6 +302,15 @@ class TestNetworkForward:
             net._cache = None
             logits_eval = net.forward_eval(x, choice)
             assert normalized_max_error(logits_train, logits_eval) < 1e-5, choice
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_eval_rejects_the_wrong_input_channel_count(self, channels):
+        net = toy_net()  # built for 3 input channels
+        x = np.zeros((2, channels, 6, 6), dtype=np.float32)
+        # full width; the first layer removed; every layer removed (only the head is left)
+        for pairs in (((6, 3), (6, 5), (4, 3)), ((0, 3), (6, 5), (4, 3)), ((0, 3), (0, 3), (0, 3))):
+            with pytest.raises(ShapeError, match="axis 1"):
+                net.forward_eval(x, SubNetChoice(pairs))
 
     def test_extraction_matches_supernet_eval(self):
         net = SuperNetwork(self.mixed_specs(), (8, 8), 4, rng=np.random.default_rng(3))
