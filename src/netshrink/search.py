@@ -433,6 +433,30 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo : lo + batch_size]
 
 
+def _sgd_epoch(
+    net: SuperNetwork | SubNetwork,
+    train: Dataset,
+    rng: np.random.Generator,
+    batch_size: int,
+    lr: float,
+    weight_decay: float,
+    forward: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """One epoch of minibatch SGD on `net`; returns the mean batch loss.
+
+    ``forward(x)`` returns the batch's logits and records the pass that
+    ``net.backward`` differentiates.
+    """
+    losses = []
+    for idx in _batches(len(train), batch_size, rng):
+        net.zero_grad()
+        loss, dlogits = T.softmax_cross_entropy(forward(train.images[idx]), train.labels[idx])
+        net.backward(dlogits)
+        T.sgd_step(net.parameters(), lr, weight_decay)
+        losses.append(loss)
+    return float(np.mean(losses))
+
+
 def train_supernetwork(
     supernet: SuperNetwork,
     train: Dataset,
@@ -443,7 +467,6 @@ def train_supernetwork(
     weight_decay: float = 1e-4,
     lr_decay: float = 1.0,
     holdout: Dataset | None = None,
-    debug_checks: bool = False,
 ) -> list[dict]:
     """Joint training of all sub-networks: one forward-backward pass per batch.
 
@@ -454,25 +477,20 @@ def train_supernetwork(
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     specs = supernet.specs
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        widths = np.column_stack(
+            [sample_width_assignments(len(x), s.width_grid, rng) for s in specs]
+        )
+        kernels = [int(rng.choice(s.kernel_grid)) for s in specs]
+        return supernet.forward_train(x, widths, kernels)
+
     history = []
     lr_now = lr
     for epoch in range(epochs):
-        losses = []
-        for idx in _batches(len(train), batch_size, rng):
-            x, labels = train.images[idx], train.labels[idx]
-            widths = np.column_stack(
-                [sample_width_assignments(len(idx), s.width_grid, rng) for s in specs]
-            )
-            kernels = [int(rng.choice(s.kernel_grid)) for s in specs]
-            supernet.zero_grad()
-            logits = supernet.forward_train(x, widths, kernels)
-            loss, dlogits = T.softmax_cross_entropy(logits, labels)
-            supernet.backward(dlogits)
-            if debug_checks:
-                _assert_gradient_isolation(supernet, widths)
-            T.sgd_step(supernet.parameters(), lr_now, weight_decay)
-            losses.append(loss)
-        row = {"epoch": epoch, "loss": float(np.mean(losses))}
+        row = {"epoch": epoch, "loss": _sgd_epoch(
+            supernet, train, rng, batch_size, lr_now, weight_decay, forward
+        )}
         if holdout is not None:
             row["holdout_accuracy"] = supernet.evaluate(
                 holdout.images, holdout.labels, supernet.full_choice()
@@ -480,15 +498,6 @@ def train_supernetwork(
         history.append(row)
         lr_now *= lr_decay
     return history
-
-
-def _assert_gradient_isolation(supernet: SuperNetwork, widths: np.ndarray) -> None:
-    for li in range(len(supernet.specs)):
-        cap = int(widths[:, li].max())
-        if np.any(supernet.weights[li].grad[cap:] != 0.0):
-            raise AssertionError(f"layer {li}: gradient leaked past batch-max width {cap}")
-        if np.any(supernet.biases[li].grad[cap:] != 0.0):
-            raise AssertionError(f"layer {li}: bias gradient leaked past width {cap}")
 
 
 def train_subnetwork(
@@ -501,19 +510,13 @@ def train_subnetwork(
     weight_decay: float = 1e-4,
 ) -> list[dict]:
     """Plain SGD training of a standalone (extracted or rebuilt) network."""
-    history = []
-    for epoch in range(epochs):
-        losses = []
-        for idx in _batches(len(train), batch_size, rng):
-            x, labels = train.images[idx], train.labels[idx]
-            net.zero_grad()
-            logits = net.forward(x, record=True)
-            loss, dlogits = T.softmax_cross_entropy(logits, labels)
-            net.backward(dlogits)
-            T.sgd_step(net.parameters(), lr, weight_decay)
-            losses.append(loss)
-        history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    return history
+    def forward(x: np.ndarray) -> np.ndarray:
+        return net.forward(x, record=True)
+
+    return [
+        {"epoch": epoch, "loss": _sgd_epoch(net, train, rng, batch_size, lr, weight_decay, forward)}
+        for epoch in range(epochs)
+    ]
 
 
 def trajectory_replay_finetune(

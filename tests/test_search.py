@@ -431,6 +431,29 @@ class TestRunSearch:
         assert str(path) in str(info.value)
 
 
+def check_isolation_every_step(net):
+    """Make each backward of `net` assert that no gradient reaches a filter past
+    its layer's batch-max width; returns the list of widths checked, one per step."""
+    forward_train, backward = net.forward_train, net.backward
+    batch_widths, checked = [], []
+
+    def recording_forward(x, widths, kernels):
+        batch_widths[:] = [np.asarray(widths)]
+        return forward_train(x, widths, kernels)
+
+    def checked_backward(dlogits):
+        backward(dlogits)
+        (widths,) = batch_widths
+        for li in range(len(net.specs)):
+            cap = int(widths[:, li].max())
+            assert np.all(net.weights[li].grad[cap:] == 0.0), f"layer {li} leaked past {cap}"
+            assert np.all(net.biases[li].grad[cap:] == 0.0), f"layer {li} bias leaked past {cap}"
+        checked.append(widths)
+
+    net.forward_train, net.backward = recording_forward, checked_backward
+    return checked
+
+
 class TestTraining:
     def separable_data(self, seed=0):
         ds = synth_classification(3, 40, 6, 6, seed=seed, noise=0.15)
@@ -443,21 +466,23 @@ class TestTraining:
         ]
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(12))
         train, holdout, _ = self.separable_data(seed=9)
+        checked = check_isolation_every_step(net)
         history = train_supernetwork(
             net, train, epochs=3, rng=np.random.default_rng(0), batch_size=16,
-            holdout=holdout, debug_checks=True,
+            holdout=holdout,
         )
         assert history[-1]["loss"] < history[0]["loss"]
+        assert len(checked) == 3 * -(-len(train) // 16)
 
     def test_gradient_isolation_holds_every_step(self):
         specs = small_specs()
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(13))
         train, _, _ = self.separable_data(seed=10)
-        # debug_checks raises on any leak past the per-batch max width
-        train_supernetwork(
-            net, train, epochs=2, rng=np.random.default_rng(1), batch_size=16,
-            debug_checks=True,
-        )
+        checked = check_isolation_every_step(net)
+        # batches of 4 over 7-point width grids: the batch-max width is often below T
+        train_supernetwork(net, train, epochs=2, rng=np.random.default_rng(1), batch_size=4)
+        assert len(checked) == 2 * -(-len(train) // 4)
+        assert sum(int(w.max(axis=0).min() < 6) for w in checked) > len(checked) // 2
 
     def test_separable_task_reaches_high_full_width_accuracy(self):
         specs = small_specs()
