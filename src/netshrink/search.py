@@ -433,15 +433,9 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo : lo + batch_size]
 
 
-def _sgd_epoch(
-    net: SuperNetwork | SubNetwork,
-    train: Dataset,
-    rng: np.random.Generator,
-    batch_size: int,
-    lr: float,
-    weight_decay: float,
-    forward: Callable[[np.ndarray], np.ndarray],
-) -> float:
+def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Generator,
+               batch_size: int, lr: float, weight_decay: float,
+               forward: Callable[[np.ndarray], np.ndarray]) -> float:
     """One epoch of minibatch SGD on `net`; returns the mean batch loss.
 
     ``forward(x)`` returns the batch's logits and records the pass that
@@ -510,11 +504,9 @@ def train_subnetwork(
     weight_decay: float = 1e-4,
 ) -> list[dict]:
     """Plain SGD training of a standalone (extracted or rebuilt) network."""
-    def forward(x: np.ndarray) -> np.ndarray:
-        return net.forward(x, record=True)
-
     return [
-        {"epoch": epoch, "loss": _sgd_epoch(net, train, rng, batch_size, lr, weight_decay, forward)}
+        {"epoch": epoch, "loss": _sgd_epoch(net, train, rng, batch_size, lr, weight_decay,
+                                            lambda x: net.forward(x, record=True))}
         for epoch in range(epochs)
     ]
 

@@ -105,17 +105,6 @@ def prefix_slice(weights: np.ndarray, m: int, z_in: int, k: int) -> np.ndarray:
     return weights[:m, :z_in, win, win]
 
 
-def superkernel_mask(weights: np.ndarray, k: int) -> np.ndarray:
-    """Zero all kernel taps outside the centered k x k window."""
-    full = weights.shape[-1]
-    if k == full:
-        return weights
-    win = kernel_window(full, k)
-    mask = np.zeros((full, full), dtype=weights.dtype)
-    mask[win, win] = 1.0
-    return weights * mask
-
-
 # ---------------------------------------------------------------------------
 # layer specs and choices
 # ---------------------------------------------------------------------------
@@ -277,6 +266,27 @@ def sliced_layer(
     return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), y
 
 
+def _conv_backward(
+    spec: LayerSpec, weight: T.Parameter, bias: T.Parameter, k: int, da: np.ndarray,
+    cache: dict, need_dx: bool,
+) -> np.ndarray | None:
+    """Backward of `sliced_layer`'s conv on the first da.shape[1] filters and k x k taps.
+
+    `da` is the gradient of the ReLU output; `cache` holds the layer's "x",
+    "y" and "cols".  dW accumulates into the `prefix_slice` view of
+    ``weight.grad``, so super-network and sub-network weights share this
+    code.  Returns dx, or None when `need_dx` is False.
+    """
+    x, m = cache["x"], da.shape[1]
+    dy = da * (cache["y"] > 0)
+    w = prefix_slice(weight.value, m, x.shape[1], k)
+    dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
+    grad = prefix_slice(weight.grad, m, x.shape[1], k)
+    grad += dw
+    bias.grad[:m] += dy.sum(axis=(0, 2, 3))
+    return dx
+
+
 # ---------------------------------------------------------------------------
 # the super-network
 # ---------------------------------------------------------------------------
@@ -392,20 +402,20 @@ class SuperNetwork(_Network):
     # -- training: full-size tensors under per-image prefix masks --------------
 
     def _layer_train(self, index: int, x: np.ndarray, widths: np.ndarray, k: int):
-        """Layer `index` with per-image widths [N] and kernel k; returns (out, cache)."""
+        """Layer `index` with per-image widths [N] and kernel k; returns (out, cache).
+
+        The full-width sliced layer on the centered k x k window, under the
+        ordered-dropout mask plus, for stride-1 layers, its bypass complement.
+        """
         spec = self.specs[index]
         if x.shape[1] != spec.c:
             raise ShapeError(
                 f"layer {spec.index}: training input axis 1 has {x.shape[1]} "
                 f"channels, spec says {spec.c}"
             )
-        w_eff = superkernel_mask(self.weights[index].value, k)
-        cols = T.im2col(x, spec.k_max, spec.stride)
-        y = (
-            T.conv2d_forward(x, w_eff, spec.stride, cols=cols)
-            + self.biases[index].value[None, :, None, None]
-        )
-        a = T.relu(y)
+        cols = T.im2col(x, k, spec.stride)
+        weight = prefix_slice(self.weights[index].value, spec.t, spec.c, k)
+        a, y = sliced_layer(spec, x, spec.t, weight, self.biases[index].value, cols)
         mask = ordered_dropout_mask(widths, spec.t, x.dtype)
         out = a * mask[:, :, None, None]
         comp = None
@@ -420,15 +430,10 @@ class SuperNetwork(_Network):
         """Accumulate layer gradients; returns dx, or None for layer 0 (nothing consumes it)."""
         index = cache["index"]
         spec = self.specs[index]
-        x, y, k = cache["x"], cache["y"], cache["k"]
         da = dout * cache["mask"][:, :, None, None]
-        dy = da * (y > 0)
-        w_eff = superkernel_mask(self.weights[index].value, k)
-        dx, dw = T.conv2d_backward(
-            dy, x, w_eff, spec.stride, cols=cache["cols"], need_dx=index > 0
+        dx = _conv_backward(
+            spec, self.weights[index], self.biases[index], cache["k"], da, cache, index > 0
         )
-        self.weights[index].grad += superkernel_mask(dw, k)
-        self.biases[index].grad += dy.sum(axis=(0, 2, 3))
         if dx is not None and spec.bypass_enabled:
             mct = spec.min_ct
             dx[:, :mct] += dout[:, :mct] * cache["comp"][:, :, None, None]
@@ -653,12 +658,9 @@ class SubNetwork(_Network):
         x = lc["x"]
         dx = None
         if layer.m > 0:
-            dy = dout[:, : layer.m] * (lc["y"] > 0)
-            dx, dw = T.conv2d_backward(
-                dy, x, layer.weight.value, spec.stride, cols=lc["cols"], need_dx=need_dx
+            dx = _conv_backward(
+                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m], lc, need_dx
             )
-            layer.weight.grad += dw
-            layer.bias.grad += dy.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
         if dx is None:

@@ -24,7 +24,6 @@ from netshrink.supernet import (
     prefix_slice,
     sample_width_assignments,
     sliced_layer,
-    superkernel_mask,
 )
 
 from reference import (
@@ -164,30 +163,43 @@ class TestSuperkernel:
     def test_full_size_unchanged(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-        np.testing.assert_array_equal(superkernel_mask(w, 5), w)
+        view = prefix_slice(w, 2, 3, 5)
+        np.testing.assert_array_equal(view, w)
+        assert np.shares_memory(view, w)
 
     def test_zeroed_tap_count(self):
-        w = np.ones((2, 3, 5, 5), dtype=np.float32)
-        masked = superkernel_mask(w, 3)
+        # writing through the k=3 window of a 5x5 kernel leaves the 16 outer taps untouched
+        w = np.zeros((2, 3, 5, 5), dtype=np.float32)
+        prefix_slice(w, 2, 3, 3)[...] = 1.0
         for f in range(2):
             for c in range(3):
-                assert (masked[f, c] == 0).sum() == 16
-        np.testing.assert_array_equal(masked[:, :, 1:4, 1:4], 1.0)
+                assert (w[f, c] == 0).sum() == 16
+        np.testing.assert_array_equal(w[:, :, 1:4, 1:4], 1.0)
+        assert kernel_window(5, 3) == slice(1, 4)
 
     def test_invalid_sizes_rejected(self):
         w = np.ones((1, 1, 5, 5))
         for k in (2, 4, 7, 1):
             with pytest.raises(GridError):
-                superkernel_mask(w, k)
+                kernel_window(5, k)
+            with pytest.raises(GridError):
+                prefix_slice(w, 1, 1, k)
 
     @pytest.mark.parametrize("k,kmax", [(3, 5), (3, 7), (5, 7)])
     def test_masked_equals_cropped_convolution(self, k, kmax):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        w = rng.standard_normal((4, 3, kmax, kmax)).astype(np.float32)
-        win = kernel_window(kmax, k)
-        masked = T.conv2d_forward(x, superkernel_mask(w, k), stride=1)
-        cropped = T.conv2d_forward(x, np.ascontiguousarray(w[:, :, win, win]), stride=1)
+        # training convolves with the centered window; with same padding that is
+        # the full-size kernel whose outer taps are zeroed
+        spec = LayerSpec(index=0, c=3, t=4, k_max=kmax, stride=1)
+        net = SuperNetwork([spec], (8, 8), 3, rng=np.random.default_rng(4))
+        x = np.random.default_rng(5).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        w = net.weights[0].value
+        taps = np.zeros((kmax, kmax), dtype=w.dtype)
+        taps[kernel_window(kmax, k), kernel_window(kmax, k)] = 1.0
+        masked = T.relu(
+            T.conv2d_forward(x, w * taps, stride=1) + net.biases[0].value[None, :, None, None]
+        )
+        cropped, cache = net._layer_train(0, x, np.full(2, spec.t), k)
+        assert cache["cols"].shape[-1] == 3 * k * k
         assert normalized_max_error(masked, cropped) < 1e-6
 
 
@@ -422,6 +434,51 @@ class TestGradients:
         fd = finite_difference_grads(loss_fn, net.parameters(), h=1e-3)
         for p, g in zip(net.parameters(), fd):
             assert relative_error(p.grad, g, floor=1e-6) < 1e-3, p.name
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_windowed_kernel_gradients_match_finite_differences(self, k):
+        # a K=5 layer trained at k=3 and at k=5, with per-image widths
+        specs = [
+            LayerSpec(index=0, c=2, t=3, k_max=3, stride=1),
+            LayerSpec(index=1, c=3, t=4, k_max=5, stride=1),
+            LayerSpec(index=2, c=4, t=3, k_max=3, stride=2),
+        ]
+        net = SuperNetwork(specs, (5, 5), 3, rng=np.random.default_rng(23), dtype=np.float64)
+        x = np.random.default_rng(24).standard_normal((3, 2, 5, 5))
+        labels = np.array([0, 2, 1])
+        widths = np.array([[3, 4, 3], [1, 2, 2], [3, 0, 3]])
+        kernels = [3, k, 3]
+
+        def loss_fn():
+            logits = net.forward_train(x, widths, kernels)
+            net._cache = None
+            return T.softmax_cross_entropy(logits, labels)[0]
+
+        net.zero_grad()
+        logits = net.forward_train(x, widths, kernels)
+        # central differences are only exact away from the ReLU kink: every kept
+        # pre-activation must sit well beyond what a 1e-3 weight step can move
+        kept = [lc["y"][lc["mask"] > 0] for lc in net._cache["caches"]]
+        assert min(np.abs(y).min() for y in kept) > 4e-3
+        _, dlogits = T.softmax_cross_entropy(logits, labels)
+        net.backward(dlogits)
+        fd = finite_difference_grads(loss_fn, net.parameters(), h=1e-3)
+        for p, g in zip(net.parameters(), fd):
+            assert relative_error(p.grad, g, floor=1e-6) < 1e-3, p.name
+
+    def test_weight_gradient_outside_the_sampled_window_is_zero(self):
+        net = toy_net(seed=9)  # layer 1 has K=5
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((4, 3, 6, 6)).astype(np.float32)
+        net.zero_grad()
+        logits = net.forward_train(x, np.tile([6, 6, 4], (4, 1)), [3, 3, 3])
+        net.backward(T.softmax_cross_entropy(logits, rng.integers(0, 3, size=4))[1])
+        grad = net.weights[1].grad
+        win = kernel_window(5, 3)
+        outside = np.ones((5, 5), dtype=bool)
+        outside[win, win] = False
+        assert np.all(grad[:, :, outside] == 0.0)
+        assert np.all(np.any(grad[:, :, win, win] != 0.0, axis=(1, 2, 3)))
 
     def test_gradient_isolation_beyond_batch_max_width(self):
         net = toy_net(seed=7)
