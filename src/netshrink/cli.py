@@ -21,7 +21,7 @@ from . import search as searchmod
 from .config import ExperimentConfig, load_config
 from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table, total_resource
 from .data import Dataset, load_raster, synth_classification, three_way_split
-from .errors import ConfigError, NetshrinkError, StateError, read_json
+from .errors import ConfigError, NetshrinkError, ParseError, StateError, read_json
 from .search import SearchConfig, run_search, train_subnetwork, trajectory_replay_finetune
 from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
@@ -282,22 +282,33 @@ def cmd_train_discovered(args) -> int:
     return 0
 
 
+def _run_record(path: Path, what: str, numbers: tuple, strings: tuple = ()) -> dict:
+    """A JSON object `report` reads, with finite numbers >= 0 and strings in the named fields."""
+    if not path.exists():
+        raise ConfigError(f"missing run artifact: {path}")
+    record = read_json(path, what)
+    if not isinstance(record, dict):
+        raise ParseError(f"{what} {path}: must be a JSON object, got {type(record).__name__}")
+    for field in numbers:
+        value = record.get(field)
+        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            raise ParseError(f"{what} {path}: field {field!r} must be a finite number >= 0, got {value!r}")
+    for field in strings:
+        if type(record.get(field)) is not str:
+            raise ParseError(f"{what} {path}: field {field!r} must be a string, got {record.get(field)!r}")
+    return record
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.out)
-    stages = {}
-    for stage in ("supernet", "search", "discovered"):
-        stage_file = run_dir / stage / "stage.json"
-        if not stage_file.exists():
-            raise ConfigError(f"missing run artifact: {stage_file}")
-        stages[stage] = read_json(stage_file, "stage record")
-    metrics_file = run_dir / "discovered" / "metrics.json"
-    if not metrics_file.exists():
-        raise ConfigError(f"missing run artifact: {metrics_file}")
-    metrics = read_json(metrics_file, "metrics")
-
-    t_super = stages["supernet"]["seconds"]
-    t_search = stages["search"]["seconds"]
-    t_disc = stages["discovered"]["seconds"]
+    t_super, t_search, t_disc = (
+        _run_record(run_dir / stage / "stage.json", "stage record", ("seconds",))["seconds"]
+        for stage in ("supernet", "search", "discovered")
+    )
+    metrics = _run_record(
+        run_dir / "discovered" / "metrics.json", "metrics",
+        ("test_accuracy", "resource", "macs"), ("resource_metric",),
+    )
     total = t_super + t_search + t_disc
     gpu_hours = args.gpu_hours if args.gpu_hours is not None else total / 3600.0
 

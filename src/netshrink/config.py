@@ -6,12 +6,11 @@ checked for existence up front.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParseError, read_json
-from .data import RASTER_MAGIC
+from .errors import ConfigError, read_json
+from .data import raster_header
 from .supernet import LayerSpec
 
 CONFIG_FORMAT = "netshrink-config-v1"
@@ -127,16 +126,6 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _raster_header(path: Path) -> tuple[int, int, int, int, int]:
-    header_size = len(RASTER_MAGIC) + 20
-    blob = path.read_bytes()[:header_size]
-    if blob[: len(RASTER_MAGIC)] != RASTER_MAGIC:
-        raise ConfigError(f"dataset.path: {path} is not a raster container (bad magic)")
-    if len(blob) < header_size:
-        raise ParseError(f"{path}: truncated header at byte {len(blob)}")
-    return struct.unpack_from("<5I", blob, len(RASTER_MAGIC))
-
-
 def _parse_dataset(raw: dict) -> DatasetConfig:
     kind = _string(raw, "dataset", "kind", choices={"synthetic", "raster"})
     if kind is None:
@@ -160,7 +149,7 @@ def _parse_dataset(raw: dict) -> DatasetConfig:
     path = Path(_string(raw, "dataset", "path"))
     if not path.exists():
         raise ConfigError(f"dataset.path: file not found: {path}")
-    n, c, h, w, classes = _raster_header(path)
+    n, c, h, w, classes = raster_header(path)
     return DatasetConfig(
         kind=kind,
         classes=classes,

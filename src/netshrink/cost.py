@@ -23,12 +23,10 @@ LATENCY_TABLE_FORMAT = "netshrink-latency-table-v1"
 CO2_LBS_PER_GPU_HOUR = 1438.0 / (64 * 79)
 
 
-def layer_macs(c: int, m: int, k: int, h_out: int, w_out: int, kind: str = "conv") -> int:
-    """Multiply-accumulate count of one layer: k*k*C*M*H_out*W_out (C*M for dense)."""
+def layer_macs(c: int, m: int, k: int, h_out: int, w_out: int) -> int:
+    """Multiply-accumulate count of one conv layer: k*k*C*M*H_out*W_out."""
     if min(c, m, k, h_out, w_out) < 0:
         raise ValueError("layer_macs arguments must be >= 0")
-    if kind == "dense":
-        return c * m
     return k * k * c * m * h_out * w_out
 
 
@@ -64,8 +62,6 @@ def interpolate_latency(layer_table: dict[int, dict[int, float]], m: int | float
 
 class LatencyTable:
     """Per-layer map (M, k) -> milliseconds, with optional linear-in-M interpolation."""
-
-    kind = "latency"
 
     def __init__(
         self,
@@ -232,8 +228,6 @@ def synthetic_latency_table(
 
 class MacModel:
     """Closed-form MAC counts per layer; needs no measurement file."""
-
-    kind = "macs"
 
     def __init__(self, specs: Sequence[LayerSpec], input_hw: tuple[int, int]):
         spatial = spatial_flow(specs, input_hw)

@@ -126,19 +126,28 @@ def save_raster(path: str | Path, dataset: Dataset) -> None:
         fh.write(labels.tobytes())
 
 
-def load_raster(path: str | Path) -> Dataset:
-    """Read the container format; pixels come back scaled to [0, 1]."""
-    blob = Path(path).read_bytes()
+def raster_header(path: str | Path) -> tuple[int, int, int, int, int]:
+    """(N, C, H, W, classes) of a raster container; reads only the header bytes."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read(len(RASTER_MAGIC) + _HEADER.size)
+    except OSError as e:
+        raise ParseError(f"{path}: cannot be read: {e}") from None
     if blob[: len(RASTER_MAGIC)] != RASTER_MAGIC:
         raise ParseError(
             f"{path}: bad magic at byte 0, expected {RASTER_MAGIC!r}, "
             f"got {blob[:len(RASTER_MAGIC)]!r}"
         )
-    off = len(RASTER_MAGIC)
-    if len(blob) < off + _HEADER.size:
+    if len(blob) < len(RASTER_MAGIC) + _HEADER.size:
         raise ParseError(f"{path}: truncated header at byte {len(blob)}")
-    n, c, h, w, classes = _HEADER.unpack_from(blob, off)
-    off += _HEADER.size
+    return _HEADER.unpack_from(blob, len(RASTER_MAGIC))
+
+
+def load_raster(path: str | Path) -> Dataset:
+    """Read the container format; pixels come back scaled to [0, 1]."""
+    n, c, h, w, classes = raster_header(path)
+    blob = Path(path).read_bytes()
+    off = len(RASTER_MAGIC) + _HEADER.size
     n_pixels = n * c * h * w
     if len(blob) < off + n_pixels:
         raise ParseError(

@@ -4,11 +4,11 @@ A layer starts with T filters over C input channels.  Shrinking keeps the
 first M filters; for stride-1 layers, every removed filter i whose input
 channel i exists is replaced by that input channel routed straight through
 (channel-level bypass), so the output channel count is Z = max(min(C, T), M)
-and never reaches zero.  During training the full-size tensors are kept and
-per-image prefix masks zero the dropped filter outputs while the complement
-mask admits the bypassed inputs; at evaluation the same sub-network is
-realized by slicing the first M filters, the first C_in input channels and
-the centered k x k kernel window.  Both paths compute the same function.
+and never reaches zero.  A sub-network slices the first M filters, the first
+C_in inputs and the centered k x k window (`prefix_slice`) into `sliced_layer`.
+Training runs that layer at full width T on the sampled kernel's window under
+per-image ordered-dropout masks plus their bypass complement, so training and
+evaluation compute the same function; one conv backward serves both networks.
 """
 from __future__ import annotations
 
@@ -272,10 +272,9 @@ def _conv_backward(
 ) -> np.ndarray | None:
     """Backward of `sliced_layer`'s conv on the first da.shape[1] filters and k x k taps.
 
-    `da` is the gradient of the ReLU output; `cache` holds the layer's "x",
-    "y" and "cols".  dW accumulates into the `prefix_slice` view of
-    ``weight.grad``, so super-network and sub-network weights share this
-    code.  Returns dx, or None when `need_dx` is False.
+    `da` is the ReLU output's gradient; `cache` holds the layer's "x", "y" and
+    "cols".  dW accumulates into the `prefix_slice` view of ``weight.grad``,
+    super-network or sub-network.  Returns dx, or None when `need_dx` is False.
     """
     x, m = cache["x"], da.shape[1]
     dy = da * (cache["y"] > 0)

@@ -12,7 +12,7 @@ from netshrink import tensor as T
 from netshrink.cli import main
 from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
-from netshrink.errors import ConfigError, NetshrinkError
+from netshrink.errors import ConfigError, NetshrinkError, ParseError
 from netshrink.supernet import SubNetChoice
 
 
@@ -73,6 +73,16 @@ class TestConfigValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="not found"):
             load_config(path)
+
+    def test_directory_as_dataset_path_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json")
+        raw = json.loads(path.read_text())
+        raw["dataset"] = {"kind": "raster", "path": str(tmp_path)}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match="cannot be read"):
+            load_config(path)
+        assert main(["train-supernet", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_both_targets_rejected(self, tmp_path):
         path = write_config(
@@ -405,3 +415,51 @@ class TestCorruptJsonFiles:
         metrics = write_raw(run / "discovered" / "metrics.json", content)
         assert main(["report", "--out", str(run)]) == 1
         assert str(metrics) in capsys.readouterr().err
+
+
+GOOD_METRICS = {"test_accuracy": 0.9, "resource_metric": "macs", "resource": 10.0, "macs": 10}
+
+
+class TestReportRecordShapes:
+    def run_dir(self, tmp_path, stage_records=None, metrics=GOOD_METRICS) -> Path:
+        run = tmp_path / "run"
+        for stage in ("supernet", "search", "discovered"):
+            (run / stage).mkdir(parents=True)
+            record = (stage_records or {}).get(stage, {"stage": stage, "seconds": 1.5})
+            (run / stage / "stage.json").write_text(json.dumps(record))
+        (run / "discovered" / "metrics.json").write_text(json.dumps(metrics))
+        return run
+
+    def test_well_formed_records_report(self, tmp_path, capsys):
+        assert main(["report", "--out", str(self.run_dir(tmp_path))]) == 0
+        assert "macs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "metrics,field",
+        [
+            ([], "must be a JSON object"),
+            ("0.9", "must be a JSON object"),
+            ({**GOOD_METRICS, "test_accuracy": "0.9"}, "'test_accuracy'"),
+            ({**GOOD_METRICS, "resource": None}, "'resource'"),
+            ({**GOOD_METRICS, "macs": True}, "'macs'"),
+            ({**GOOD_METRICS, "macs": 10**400}, "'macs'"),
+            ({k: v for k, v in GOOD_METRICS.items() if k != "macs"}, "'macs'"),
+            ({**GOOD_METRICS, "resource_metric": 3}, "'resource_metric'"),
+        ],
+    )
+    def test_malformed_metrics_name_the_path_and_field(self, tmp_path, capsys, metrics, field):
+        run = self.run_dir(tmp_path, metrics=metrics)
+        assert main(["report", "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert str(run / "discovered" / "metrics.json") in err and field in err
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"seconds": "x"}, {"seconds": -1.0}, {"seconds": float("nan")}, {}, [1.0], "1.0"],
+    )
+    def test_malformed_stage_record_names_the_path_and_field(self, tmp_path, capsys, record):
+        run = self.run_dir(tmp_path, stage_records={"search": record})
+        assert main(["report", "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert str(run / "search" / "stage.json") in err
+        assert "'seconds'" in err or "must be a JSON object" in err

@@ -41,9 +41,6 @@ class TestLayerMacs:
     def test_zero_width_is_free(self):
         assert layer_macs(8, 0, 3, 8, 8) == 0
 
-    def test_dense_kind(self):
-        assert layer_macs(128, 10, 1, 1, 1, kind="dense") == 1280
-
     def test_matches_tap_counting_oracle(self):
         for c, m, k, h, w in [(3, 8, 5, 8, 8), (8, 4, 3, 4, 4), (2, 1, 3, 5, 7)]:
             assert layer_macs(c, m, k, h, w) == count_conv_taps(c, m, k, h, w)

@@ -4,6 +4,7 @@ import pytest
 from netshrink.data import (
     Dataset,
     load_raster,
+    raster_header,
     save_raster,
     split,
     synth_classification,
@@ -129,6 +130,24 @@ class TestRaster:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ParseError, match="truncated"):
             load_raster(path)
+
+    def test_header_is_read_without_the_body(self, tmp_path):
+        path = tmp_path / "head.raster"
+        save_raster(path, self.make(n=6))
+        blob = path.read_bytes()
+        assert raster_header(path) == (6, 2, 3, 4, 3)
+        path.write_bytes(blob[:28])  # magic + header only
+        assert raster_header(path) == (6, 2, 3, 4, 3)
+        path.write_bytes(blob[:20])
+        with pytest.raises(ParseError, match="truncated header at byte 20"):
+            raster_header(path)
+
+    def test_unreadable_path_is_a_parse_error(self, tmp_path):
+        for path in (tmp_path, tmp_path / "missing.raster"):
+            with pytest.raises(ParseError, match="cannot be read"):
+                raster_header(path)
+            with pytest.raises(ParseError, match="cannot be read"):
+                load_raster(path)
 
     def test_out_of_range_pixels_rejected(self, tmp_path):
         ds = self.make()
