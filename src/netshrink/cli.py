@@ -188,7 +188,7 @@ def cmd_search(args) -> int:
         stage_dir = out / "search"
         stage_dir.mkdir(parents=True, exist_ok=True)
         searchmod.write_trajectory(stage_dir / "trajectory.json", net, result.trajectory)
-        searchmod.write_search_log(stage_dir / "search_log.csv", result.log_rows)
+        (stage_dir / "search_log.csv").write_text(searchmod.search_log_csv(result.log_rows))
         save_architecture(
             stage_dir / "discovered_architecture.json",
             net.architecture_json(result.trajectory[-1].choice),
@@ -300,6 +300,8 @@ def _run_record(path: Path, what: str, numbers: tuple, strings: tuple = ()) -> d
 
 
 def cmd_report(args) -> int:
+    if args.gpu_hours is not None and not 0 <= args.gpu_hours <= sys.float_info.max:
+        raise ConfigError(f"--gpu-hours must be a finite number >= 0, got {args.gpu_hours!r}")
     run_dir = Path(args.out)
     t_super, t_search, t_disc = (
         _run_record(run_dir / stage / "stage.json", "stage record", ("seconds",))["seconds"]

@@ -257,10 +257,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
     c_raw = raw.get("cost", {})
     _section(c_raw, "cost", {"kind", "path", "interpolate"}, set())
+    interpolate = c_raw.get("interpolate", False)
+    if not isinstance(interpolate, bool):
+        raise ConfigError(f"cost.interpolate: must be true or false, got {interpolate!r}")
     cost = CostConfig(
         kind=_string(c_raw, "cost", "kind", default="synthetic", choices={"synthetic", "file"}),
         path=_string(c_raw, "cost", "path", default=""),
-        interpolate=bool(c_raw.get("interpolate", False)),
+        interpolate=interpolate,
     )
     if cost.kind == "file":
         if not cost.path:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,7 +50,6 @@ class SearchConfig:
     decay: float  # per-iteration multiplier on the reduction
     target_resource: float
     seed: int = 0
-    max_attempts: int = 200
 
     def __post_init__(self):
         if self.samples_per_iteration < 1:
@@ -67,27 +66,21 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """One evaluated sample: a search-log row, and a trajectory entry when chosen."""
+
+    iteration: int  # -1 marks the initial network
+    sample_id: int
     choice: SubNetChoice
     resource: float
     holdout_accuracy: float
-    iteration: int  # -1 marks the initial network
-
-
-@dataclass(frozen=True)
-class LogRow:
-    iteration: int
-    sample_id: int
-    resource: float
-    accuracy: float
-    chosen: int
-    duplicate_of: int | None = None
+    chosen: int = 0
+    duplicate_of: int | None = None  # id of the earlier sample with the same key
 
 
 @dataclass
 class SearchResult:
-    trajectory: list[SampleRecord]
-    log_rows: list[LogRow]
-    initial_resource: float
+    trajectory: list[SampleRecord]  # initial network, then each iteration's chosen row
+    log_rows: list[SampleRecord]  # every generated sample
 
 
 def reduction_schedule(initial_resource: float, config: SearchConfig, iteration: int) -> float:
@@ -240,16 +233,10 @@ def evaluate_sample(supernet: SuperNetwork, choice: SubNetChoice, holdout: Datas
 
 
 def select_best(records: Sequence[SampleRecord]) -> SampleRecord:
-    """Highest accuracy; ties broken by lower resource, then earlier sample."""
+    """Highest accuracy; ties broken by lower resource, then the earlier record."""
     if not records:
         raise ValueError("select_best needs at least one record")
-    best = records[0]
-    for rec in records[1:]:
-        if rec.holdout_accuracy > best.holdout_accuracy or (
-            rec.holdout_accuracy == best.holdout_accuracy and rec.resource < best.resource
-        ):
-            best = rec
-    return best
+    return max(records, key=lambda r: (r.holdout_accuracy, -r.resource))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +254,15 @@ def run_search(
 ) -> SearchResult:
     """Shrink from the full network until the target resource is met.
 
-    Returns the trajectory of per-iteration best samples (the first entry is
-    the initial network, marked iteration -1) plus one log row per generated
-    sample.  Deterministic for a fixed config seed.
+    Returns one log row per generated sample and the trajectory: the initial
+    network (iteration -1), then each iteration's chosen log row.  Evaluates
+    an iteration's unique samples on `jobs` threads; deterministic for a
+    fixed config seed whatever `jobs` is.
     """
     if optimizer not in ("mcd", "scd"):
         raise GridError(f"optimizer must be mcd or scd, got {optimizer!r}")
+    if jobs < 1:
+        raise GridError(f"jobs must be >= 1, got {jobs}")
     specs = supernet.specs
     rng = np.random.default_rng(config.seed)
     full = supernet.full_choice()
@@ -292,14 +282,9 @@ def run_search(
                 f"reduction, but reaching the target needs {needed:.6g}"
             )
 
-    best = SampleRecord(
-        choice=full,
-        resource=initial_resource,
-        holdout_accuracy=evaluate_sample(supernet, full, holdout),
-        iteration=-1,
-    )
+    best = SampleRecord(-1, 0, full, initial_resource, evaluate_sample(supernet, full, holdout), chosen=1)
     trajectory = [best]
-    log_rows: list[LogRow] = []
+    log_rows: list[SampleRecord] = []
     iteration = 0
     while best.resource > config.target_resource + _tol(config.target_resource):
         if iteration >= _MAX_ITERATIONS:
@@ -310,10 +295,7 @@ def run_search(
         required = best.resource - budget
         if optimizer == "mcd":
             choices = [
-                generate_mcd_sample(
-                    specs, model, best.choice, config.layers_per_sample, required, rng,
-                    config.max_attempts,
-                )
+                generate_mcd_sample(specs, model, best.choice, config.layers_per_sample, required, rng)
                 for _ in range(config.samples_per_iteration)
             ]
         else:
@@ -323,67 +305,41 @@ def run_search(
                     f"iteration {iteration}: no single layer can cut {required:.6g} alone"
                 )
 
-        first_seen: dict[tuple, int] = {}
-        duplicate_of: list[int | None] = []
-        unique_ids: list[int] = []
-        for j, choice in enumerate(choices):
-            key = choice.key()
-            if key in first_seen:
-                duplicate_of.append(first_seen[key])
-            else:
-                first_seen[key] = j
-                duplicate_of.append(None)
-                unique_ids.append(j)
-
-        def accuracy_of(j: int) -> float:
-            return evaluate_sample(supernet, choices[j], holdout)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                unique_acc = dict(zip(unique_ids, pool.map(accuracy_of, unique_ids)))
-        else:
-            unique_acc = {j: accuracy_of(j) for j in unique_ids}
-
-        records = [
+        keys = [choice.key() for choice in choices]
+        first_id: dict[tuple, int] = {}
+        for j, key in enumerate(keys):
+            first_id.setdefault(key, j)
+        unique_ids = list(first_id.values())
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            accuracies = pool.map(lambda j: evaluate_sample(supernet, choices[j], holdout), unique_ids)
+        # read after the pool has drained, so this thread does not wake once per sample
+        accuracy = dict(zip(unique_ids, accuracies))
+        rows = [
             SampleRecord(
-                choice=choices[j],
-                resource=total_resource(choices[j], model),
-                holdout_accuracy=unique_acc[j if duplicate_of[j] is None else duplicate_of[j]],
-                iteration=iteration,
+                iteration, j, choice, total_resource(choice, model), accuracy[first_id[key]],
+                duplicate_of=None if first_id[key] == j else first_id[key],
             )
-            for j in range(len(choices))
+            for j, (choice, key) in enumerate(zip(choices, keys))
         ]
-        best = select_best([records[j] for j in unique_ids])
-        chosen_id = next(
-            j for j in unique_ids
-            if records[j].choice.key() == best.choice.key()
-        )
-        log_rows.extend(
-            LogRow(
-                iteration=iteration,
-                sample_id=j,
-                resource=records[j].resource,
-                accuracy=records[j].holdout_accuracy,
-                chosen=int(j == chosen_id),
-                duplicate_of=duplicate_of[j],
-            )
-            for j in range(len(choices))
-        )
+        # a duplicate ties with the earlier row it repeats, so it never wins
+        best = replace(select_best(rows), chosen=1)
+        rows[best.sample_id] = best
+        log_rows.extend(rows)
         trajectory.append(best)
         if progress is not None:
             progress(
-                f"iteration {iteration}: {len(unique_ids)}/{len(choices)} unique samples, "
+                f"iteration {iteration}: {len(first_id)}/{len(choices)} unique samples, "
                 f"best resource {best.resource:.4g}, accuracy {best.holdout_accuracy:.4f}"
             )
         iteration += 1
-    return SearchResult(trajectory=trajectory, log_rows=log_rows, initial_resource=initial_resource)
+    return SearchResult(trajectory=trajectory, log_rows=log_rows)
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
 
-def search_log_csv(rows: Sequence[LogRow]) -> str:
+def search_log_csv(rows: Sequence[SampleRecord]) -> str:
     buf = io.StringIO()
     buf.write(f"# {SEARCH_LOG_FORMAT}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -394,16 +350,12 @@ def search_log_csv(rows: Sequence[LogRow]) -> str:
                 r.iteration,
                 r.sample_id,
                 repr(float(r.resource)),
-                repr(float(r.accuracy)),
+                repr(float(r.holdout_accuracy)),
                 r.chosen,
                 "" if r.duplicate_of is None else r.duplicate_of,
             ]
         )
     return buf.getvalue()
-
-
-def write_search_log(path: str | Path, rows: Sequence[LogRow]) -> None:
-    Path(path).write_text(search_log_csv(rows))
 
 
 def write_trajectory(path: str | Path, supernet: SuperNetwork, trajectory: Sequence[SampleRecord]) -> None:

@@ -109,12 +109,12 @@ def prefix_slice(weights: np.ndarray, m: int, z_in: int, k: int) -> np.ndarray:
 # layer specs and choices
 # ---------------------------------------------------------------------------
 
-def default_width_grid(t: int, stride: int, points: int = 9) -> tuple[int, ...]:
-    """Uniformly spaced widths from 0 to T, rounded, de-duplicated.
+def default_width_grid(t: int, stride: int) -> tuple[int, ...]:
+    """Nine uniformly spaced widths from 0 to T, rounded, de-duplicated.
 
     Stride > 1 layers cannot bypass their inputs, so 0 is dropped there.
     """
-    grid = sorted({int(round(v)) for v in np.linspace(0.0, t, points)})
+    grid = sorted({int(round(v)) for v in np.linspace(0.0, t, 9)})
     if stride > 1 and grid[0] == 0:
         grid = grid[1:]
     return tuple(grid)

@@ -33,10 +33,6 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
         self.name = name
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 

@@ -113,6 +113,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"network.layers\[0\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["no", 0, [1]])
+    def test_interpolate_must_be_a_json_boolean(self, tmp_path, value):
+        path = write_config(tmp_path / "c.json", cost={"interpolate": value})
+        with pytest.raises(ConfigError, match="cost.interpolate"):
+            load_config(path)
+
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert load_config(path).seed == 3
@@ -218,6 +224,12 @@ class TestSearchCommand:
         )
         assert code == 1
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_nonpositive_jobs_fails_cleanly(self, trained_run, capsys):
+        cfg, run = trained_run
+        assert main(["search", "--config", str(cfg), "--out", str(run), "--jobs", "0"]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (run / "search").exists() and not (run / ".lock").exists()
 
     def test_missing_checkpoint_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -452,6 +464,13 @@ class TestReportRecordShapes:
         assert main(["report", "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert str(run / "discovered" / "metrics.json") in err and field in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_gpu_hours_fails_cleanly(self, tmp_path, capsys, value):
+        run = self.run_dir(tmp_path)
+        assert main(["report", "--out", str(run), "--gpu-hours", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gpu-hours") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "record",

@@ -6,9 +6,8 @@ import pytest
 from netshrink import tensor as T
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
-from netshrink.errors import FeasibilityError, InfeasibleTargetError, ParseError
+from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
 from netshrink.search import (
-    LogRow,
     SampleRecord,
     SearchConfig,
     evaluate_sample,
@@ -246,7 +245,7 @@ class TestMcdScdCapacity:
 
 class TestSelection:
     def rec(self, acc, res, it=0):
-        return SampleRecord(SubNetChoice(((1, 3),)), res, acc, it)
+        return SampleRecord(it, 0, SubNetChoice(((1, 3),)), res, acc)
 
     def test_singleton(self):
         r = self.rec(0.5, 10.0)
@@ -360,6 +359,34 @@ class TestRunSearch:
             outputs.append((log, path.read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+
+    def test_chosen_rows_are_the_trajectory_and_duplicates_copy_their_first(self):
+        specs = small_specs()
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(12))
+        table = synthetic_latency_table(specs, (6, 6), seed=13)
+        holdout = tiny_holdout(seed=5)
+        r0 = total_resource(net.full_choice(), table)
+        cfg = make_config(0.2 * r0, samples_per_iteration=20, layers_per_sample=3)
+        result = run_search(net, table, cfg, holdout)
+        rows = {(r.iteration, r.sample_id): r for r in result.log_rows}
+        duplicates = [r for r in result.log_rows if r.duplicate_of is not None]
+        assert duplicates, "no duplicate sample: the checks below would pass vacuously"
+        for i, entry in enumerate(result.trajectory[1:]):
+            chosen = [r for r in result.log_rows if r.iteration == i and r.chosen == 1]
+            assert len(chosen) == 1 and chosen[0] is entry
+            assert entry.duplicate_of is None
+        for r in duplicates:
+            first = rows[r.iteration, r.duplicate_of]
+            assert first.sample_id < r.sample_id and first.duplicate_of is None
+            assert first.choice.key() == r.choice.key()
+            assert (r.holdout_accuracy, r.resource) == (first.holdout_accuracy, first.resource)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        net, table, holdout = self.build()
+        r0 = total_resource(net.full_choice(), table)
+        with pytest.raises(GridError, match="jobs must be >= 1"):
+            run_search(net, table, make_config(0.5 * r0), holdout, jobs=jobs)
 
     def test_target_equal_to_initial_means_zero_iterations(self):
         net, table, holdout = self.build()
@@ -541,8 +568,8 @@ class TestReplay:
 class TestLogFormat:
     def test_csv_shape_and_version_line(self):
         rows = [
-            LogRow(0, 0, 3.25, 0.5, 1, None),
-            LogRow(0, 1, 3.0, 0.5, 0, 0),
+            SampleRecord(0, 0, SubNetChoice(((1, 3),)), 3.25, 0.5, chosen=1),
+            SampleRecord(0, 1, SubNetChoice(((1, 3),)), 3.0, 0.5, duplicate_of=0),
         ]
         text = search_log_csv(rows)
         lines = text.strip().split("\n")
