@@ -32,8 +32,8 @@ def layer_macs(c: int, m: int, k: int, h_out: int, w_out: int) -> int:
 
 def co2_estimate(gpu_hours: float) -> int:
     """Estimated CO2 emission in lbs for a search budget, to the nearest lb."""
-    if gpu_hours < 0:
-        raise ValueError(f"GPU-hours must be >= 0, got {gpu_hours}")
+    if not math.isfinite(gpu_hours) or gpu_hours < 0:
+        raise ValueError(f"GPU-hours must be finite and >= 0, got {gpu_hours}")
     return int(round(gpu_hours * CO2_LBS_PER_GPU_HOUR))
 
 
@@ -167,11 +167,17 @@ class LatencyTable:
                 by_kernel[_int_key(k_key, at_k)] = row = {}
                 for m_key, ms in _object(by_m, at_k).items():
                     row[_int_key(m_key, at_k)] = _latency(ms, f"{at_k} width {m_key!r}")
+        interpolate = meta.get("interpolate", False)
+        if not isinstance(interpolate, bool):
+            raise ParseError(
+                f"latency table {path}: field 'meta.interpolate' must be true or false, "
+                f"got {interpolate!r}"
+            )
         return cls(
             layers,
             device=meta.get("device", "unknown"),
             note=meta.get("note", ""),
-            interpolate=bool(meta.get("interpolate", False)),
+            interpolate=interpolate,
         )
 
 

@@ -4,7 +4,8 @@ Each iteration must cut the best sample's resource by a scheduled amount
 (geometric decay).  The multi-layer optimizer (MCD) draws J candidates by
 randomly shrinking L layers at once; the single-layer baseline (SCD) proposes
 one candidate per layer.  Candidates are ranked by holdout accuracy using the
-shared weights directly, no per-sample training.
+shared weights directly, no per-sample training; equal accuracies fall to the
+lower holdout cross-entropy, then to the lower resource.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .supernet import (
     sample_width_assignments,
 )
 
-SEARCH_LOG_FORMAT = "netshrink-search-log-v1"
+SEARCH_LOG_FORMAT = "netshrink-search-log-v2"
 
 _MAX_ITERATIONS = 100_000
 
@@ -73,6 +74,7 @@ class SampleRecord:
     choice: SubNetChoice
     resource: float
     holdout_accuracy: float
+    loss: float  # mean holdout cross-entropy, from the same logits as the accuracy
     chosen: int = 0
     duplicate_of: int | None = None  # id of the earlier sample with the same key
 
@@ -227,16 +229,24 @@ def generate_scd_samples(
 # evaluation and selection
 # ---------------------------------------------------------------------------
 
-def evaluate_sample(supernet: SuperNetwork, choice: SubNetChoice, holdout: Dataset) -> float:
-    """Holdout top-1 accuracy of the sliced sub-network; shared weights, read-only."""
-    return supernet.evaluate(holdout.images, holdout.labels, choice)
+def evaluate_sample(
+    supernet: SuperNetwork, choice: SubNetChoice, holdout: Dataset
+) -> tuple[float, float]:
+    """Holdout (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
+    return supernet.score(holdout.images, holdout.labels, choice)
 
 
 def select_best(records: Sequence[SampleRecord]) -> SampleRecord:
-    """Highest accuracy; ties broken by lower resource, then the earlier record."""
+    """Highest accuracy; ties broken by lower loss, then lower resource, then the earlier record.
+
+    A NaN loss ranks below every number.
+    """
     if not records:
         raise ValueError("select_best needs at least one record")
-    return max(records, key=lambda r: (r.holdout_accuracy, -r.resource))
+    return max(
+        records,
+        key=lambda r: (r.holdout_accuracy, -np.inf if np.isnan(r.loss) else -r.loss, -r.resource),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +292,7 @@ def run_search(
                 f"reduction, but reaching the target needs {needed:.6g}"
             )
 
-    best = SampleRecord(-1, 0, full, initial_resource, evaluate_sample(supernet, full, holdout), chosen=1)
+    best = SampleRecord(-1, 0, full, initial_resource, *evaluate_sample(supernet, full, holdout), chosen=1)
     trajectory = [best]
     log_rows: list[SampleRecord] = []
     iteration = 0
@@ -311,12 +321,12 @@ def run_search(
             first_id.setdefault(key, j)
         unique_ids = list(first_id.values())
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            accuracies = pool.map(lambda j: evaluate_sample(supernet, choices[j], holdout), unique_ids)
+            scores = pool.map(lambda j: evaluate_sample(supernet, choices[j], holdout), unique_ids)
         # read after the pool has drained, so this thread does not wake once per sample
-        accuracy = dict(zip(unique_ids, accuracies))
+        score = dict(zip(unique_ids, scores))
         rows = [
             SampleRecord(
-                iteration, j, choice, total_resource(choice, model), accuracy[first_id[key]],
+                iteration, j, choice, total_resource(choice, model), *score[first_id[key]],
                 duplicate_of=None if first_id[key] == j else first_id[key],
             )
             for j, (choice, key) in enumerate(zip(choices, keys))
@@ -329,7 +339,8 @@ def run_search(
         if progress is not None:
             progress(
                 f"iteration {iteration}: {len(first_id)}/{len(choices)} unique samples, "
-                f"best resource {best.resource:.4g}, accuracy {best.holdout_accuracy:.4f}"
+                f"best resource {best.resource:.4g}, accuracy {best.holdout_accuracy:.4f}, "
+                f"loss {best.loss:.4f}"
             )
         iteration += 1
     return SearchResult(trajectory=trajectory, log_rows=log_rows)
@@ -343,7 +354,9 @@ def search_log_csv(rows: Sequence[SampleRecord]) -> str:
     buf = io.StringIO()
     buf.write(f"# {SEARCH_LOG_FORMAT}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "sample_id", "resource", "accuracy", "chosen", "duplicate_of"])
+    writer.writerow(
+        ["iteration", "sample_id", "resource", "accuracy", "loss", "chosen", "duplicate_of"]
+    )
     for r in rows:
         writer.writerow(
             [
@@ -351,6 +364,7 @@ def search_log_csv(rows: Sequence[SampleRecord]) -> str:
                 r.sample_id,
                 repr(float(r.resource)),
                 repr(float(r.holdout_accuracy)),
+                repr(float(r.loss)),
                 r.chosen,
                 "" if r.duplicate_of is None else r.duplicate_of,
             ]

@@ -330,14 +330,20 @@ class _Network:
         return T.global_avg_pool_backward(dfeat, cache["conv_shape"])
 
 
-def _accuracy(forward: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
-              labels: np.ndarray, batch_size: int) -> float:
-    """Top-1 accuracy of `forward`'s logits, one call per batch of images."""
-    hits = 0
+# Evaluation batch: bounds the im2col columns each search thread holds at once;
+# evaluating a whole holdout split as one batch raised the search's peak RSS.
+EVAL_BATCH_SIZE = 64
+
+
+def _score(forward: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
+           labels: np.ndarray, batch_size: int) -> tuple[float, float]:
+    """Top-1 accuracy and mean cross-entropy of `forward`'s logits, one call per batch."""
+    hits, loss_sum = 0, 0.0
     for lo in range(0, images.shape[0], batch_size):
-        logits = forward(images[lo : lo + batch_size])
-        hits += int((logits.argmax(axis=1) == labels[lo : lo + batch_size]).sum())
-    return hits / images.shape[0]
+        logits, batch_labels = forward(images[lo : lo + batch_size]), labels[lo : lo + batch_size]
+        hits += int((logits.argmax(axis=1) == batch_labels).sum())
+        loss_sum += T.softmax_cross_entropy(logits, batch_labels)[0] * len(batch_labels)
+    return hits / images.shape[0], loss_sum / images.shape[0]
 
 
 class SuperNetwork(_Network):
@@ -471,11 +477,19 @@ class SuperNetwork(_Network):
         """Logits of the chosen sub-network: the forward of ``extract(choice)``."""
         return self.extract(choice).forward(x)
 
+    def score(
+        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice,
+        batch_size: int = EVAL_BATCH_SIZE,
+    ) -> tuple[float, float]:
+        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
+        return _score(lambda x: self.forward_eval(x, choice), images, labels, batch_size)
+
     def evaluate(
-        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice, batch_size: int = 256
+        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice,
+        batch_size: int = EVAL_BATCH_SIZE,
     ) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
-        return _accuracy(lambda x: self.forward_eval(x, choice), images, labels, batch_size)
+        return self.score(images, labels, choice, batch_size)[0]
 
     # -- export ----------------------------------------------------------------
 
@@ -669,8 +683,10 @@ class SubNetwork(_Network):
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
         return dx
 
-    def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
-        return _accuracy(self.forward, images, labels, batch_size)
+    def evaluate(
+        self, images: np.ndarray, labels: np.ndarray, batch_size: int = EVAL_BATCH_SIZE
+    ) -> float:
+        return _score(self.forward, images, labels, batch_size)[0]
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""

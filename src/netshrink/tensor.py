@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParseError, ShapeError, read_json
 
@@ -45,14 +45,6 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeError(message)
 
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad axes 2 and 3 by `pad` on each side (same values as np.pad, far less overhead)."""
-    n, c, h, wd = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + wd] = x
-    return xp
-
-
 def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
     """Validate a same-padding conv of x by w; return the output extents (H_out, W_out)."""
     _require(x.ndim == 4, f"conv input must be 4-D NCHW, got rank {x.ndim}")
@@ -73,10 +65,31 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
     return -(-h // stride), -(-wd // stride)
 
 
-def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: int) -> None:
+def _row_width(wd: int, k: int, stride: int) -> int:
+    """Columns per output row in the im2col layout: the padded width at stride 1, else W_out."""
+    return wd + k - 1 if stride == 1 else -(-wd // stride)
+
+
+def _taps(xp: np.ndarray, k: int, stride: int, h_out: int, wq: int) -> np.ndarray:
+    """[C, k, k, N, H_out, Wq] view of a C-contiguous padded [N, C, Hp + 1, Wp] buffer.
+
+    Entry (c, u, v, n, i, j) is the flat element ``(stride*i + u) * Wp +
+    stride*j + v`` of plane (n, c).  At stride 1 ``Wq == Wp``, so each tap of
+    each plane is one contiguous run of ``H_out * Wp`` elements; its last
+    ``k - 1`` columns per row wrap into the next row (the spare row keeps the
+    last tap in bounds) and are cropped by the callers.
+    """
+    n, c, _, _ = xp.shape
+    sn, sc, sh, sw = xp.strides
+    return as_strided(
+        xp, (c, k, k, n, h_out, wq), (sc, sh, sw, sn, stride * sh, stride * sw)
+    )
+
+
+def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, wq: int) -> None:
     n, c = x.shape[:2]
-    want = (n, h_out * w_out, c * k * k)
-    _require(cols.ndim == 3, f"cols must be 3-D [N,P,C*k*k], got rank {cols.ndim}")
+    want = (c * k * k, n * h_out * wq)
+    _require(cols.ndim == 2, f"cols must be 2-D [C*k*k, N*H_out*Wq], got rank {cols.ndim}")
     for axis, (got, expect) in enumerate(zip(cols.shape, want)):
         _require(
             got == expect,
@@ -85,18 +98,22 @@ def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, w_out: in
 
 
 def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
-    """Same-padding k x k patches of x: [N, C, H, W] -> [N, H_out*W_out, C*k*k].
+    """Same-padding k x k patches of x: [N, C, H, W] -> [C*k*k, N*H_out*Wq].
 
-    Row p holds the receptive field of output pixel p in (channel, row, col)
-    order, matching ``w.reshape(F, -1)``.  Training computes it once per
-    layer and hands it to both ``conv2d_forward`` and ``conv2d_backward``.
+    Row (c, u, v) holds tap (u, v) of channel c for every output pixel, in
+    the order of ``w.reshape(F, -1)``'s columns.  Column (n, i, j) is output
+    pixel (i, j) of image n; at stride 1 a row has ``Wq = W + k - 1`` columns,
+    of which the last ``k - 1`` are padding the convolution crops, and at
+    stride > 1 ``Wq = W_out``.  Training computes it once per layer and hands
+    it to both ``conv2d_forward`` and ``conv2d_backward``.
     """
-    n, c = x.shape[:2]
+    n, c, h, wd = x.shape
+    h_out, wq = -(-h // stride), _row_width(wd, k, stride)
     pad = (k - 1) // 2
-    win = sliding_window_view(_pad_hw(x, pad), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    _, _, h_out, w_out = win.shape[:4]
-    # win: [N, C, H_out, W_out, k, k] -> cols: [N, H_out*W_out, C*k*k]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * k * k)
+    xp = np.zeros((n, c, h + k, wd + k - 1), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    cols = np.ascontiguousarray(_taps(xp, k, stride, h_out, wq))
+    return cols.reshape(c * k * k, n * h_out * wq)
 
 
 def conv2d_forward(
@@ -109,14 +126,15 @@ def conv2d_forward(
     must be ``im2col(x, k, stride)``.
     """
     h_out, w_out = _conv_shapes(x, w, stride)
-    n = x.shape[0]
+    n, _, _, wd = x.shape
     f, _, k, _ = w.shape
+    wq = _row_width(wd, k, stride)
     if cols is None:
         cols = im2col(x, k, stride)
     else:
-        _require_cols(cols, x, k, h_out, w_out)
-    y = cols @ w.reshape(f, -1).T
-    return np.ascontiguousarray(y.transpose(0, 2, 1).reshape(n, f, h_out, w_out))
+        _require_cols(cols, x, k, h_out, wq)
+    y = (w.reshape(f, -1) @ cols).reshape(f, n, h_out, wq)[..., :w_out]
+    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
 def conv2d_backward(
@@ -143,26 +161,28 @@ def conv2d_backward(
             f"dy axis {axis} has {got}, the forward output of input {x.shape} "
             f"and weights {w.shape} at stride {stride} has {expect}",
         )
+    wq = _row_width(wd, k, stride)
     if cols is None:
         cols = im2col(x, k, stride)
     else:
-        _require_cols(cols, x, k, h_out, w_out)
-    dyf = dy.reshape(n, f, h_out * w_out)
-    # dw sums over images and pixels: one [F, N*P] @ [N*P, C*k*k] GEMM
-    dw = (dyf.transpose(1, 0, 2).reshape(f, -1) @ cols.reshape(-1, c * k * k)).reshape(w.shape)
+        _require_cols(cols, x, k, h_out, wq)
+    # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
+    dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
+    dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
+    dyq = dyq.reshape(f, -1)
+    # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
+    dw = (cols @ dyq.T).T.reshape(w.shape)
     if not need_dx:
         return None, dw
-    pad = (k - 1) // 2
-    dcols = dyf.transpose(0, 2, 1) @ w.reshape(f, -1)  # [N, P, C*k*k]
-    dwin = dcols.reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    dcols = (w.reshape(f, -1).T @ dyq).reshape(c, k, k, n, h_out, wq)
+    dxp = np.zeros((n, c, h + k, wd + k - 1), dtype=x.dtype)
+    taps = _taps(dxp, k, stride, h_out, wq)
+    # taps overlap one another, so one add per tap; each is a contiguous run at stride 1
     for u in range(k):
         for v in range(k):
-            dxp[:, :, u : u + stride * h_out : stride, v : v + stride * w_out : stride] += dwin[
-                :, :, :, :, u, v
-            ]
-    dx = dxp[:, :, pad : pad + h, pad : pad + wd]
-    return np.ascontiguousarray(dx), dw
+            taps[:, u, v] += dcols[:, u, v]
+    pad = (k - 1) // 2
+    return np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + wd]), dw
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

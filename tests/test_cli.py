@@ -181,7 +181,7 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg), "--out", str(run)]) == 0
         stage = run / "search"
         log_lines = (stage / "search_log.csv").read_text().strip().split("\n")
-        assert log_lines[0] == "# netshrink-search-log-v1"
+        assert log_lines[0] == "# netshrink-search-log-v2"
         trajectory = json.loads((stage / "trajectory.json").read_text())
         iterations = len(trajectory) - 1
         assert len(log_lines) - 2 == iterations * 6  # J rows per iteration

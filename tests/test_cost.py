@@ -67,8 +67,9 @@ class TestCo2:
         assert abs(CO2_LBS_PER_GPU_HOUR - 0.2844) <= 1e-4
 
     def test_negative_hours_rejected(self):
-        with pytest.raises(ValueError):
-            co2_estimate(-1)
+        for hours in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                co2_estimate(hours)
 
 
 class TestInterpolation:
@@ -196,6 +197,13 @@ class TestLatencyTable:
         with pytest.raises(ParseError, match=re.escape(field)) as info:
             LatencyTable.load(path)
         assert str(info.value).startswith(f"latency table {path}")
+
+    @pytest.mark.parametrize("value", ["no", 0, [1]])
+    def test_interpolate_must_be_a_json_boolean(self, tmp_path, value):
+        path = tmp_path / "latency.json"
+        path.write_text(json.dumps({"meta": {**TABLE_META, "interpolate": value}}))
+        with pytest.raises(ParseError, match=re.escape(f"latency table {path}: field 'meta.interpolate'")):
+            LatencyTable.load(path)
 
     @settings(max_examples=200, deadline=None)
     @given(

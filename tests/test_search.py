@@ -244,8 +244,8 @@ class TestMcdScdCapacity:
 
 
 class TestSelection:
-    def rec(self, acc, res, it=0):
-        return SampleRecord(it, 0, SubNetChoice(((1, 3),)), res, acc)
+    def rec(self, acc, res, it=0, loss=1.0):
+        return SampleRecord(it, 0, SubNetChoice(((1, 3),)), res, acc, loss)
 
     def test_singleton(self):
         r = self.rec(0.5, 10.0)
@@ -261,16 +261,31 @@ class TestSelection:
         a, b = self.rec(0.5, 9.0), self.rec(0.5, 9.0)
         assert select_best([a, b]) is a
 
+    def test_equal_accuracy_lower_loss_wins(self):
+        # the loss outranks the resource: the cheaper sample loses on its higher loss
+        cheap, better = self.rec(0.5, 9.0, loss=0.8), self.rec(0.5, 10.0, loss=0.7)
+        assert select_best([cheap, better]) is better
+        assert select_best([better, cheap]) is better
+        # accuracy still outranks the loss
+        assert select_best([self.rec(0.6, 10.0, loss=2.0), better]).holdout_accuracy == 0.6
+
+    def test_nan_loss_ranks_last(self):
+        finite = self.rec(0.5, 10.0, loss=3.0)
+        assert select_best([self.rec(0.5, 9.0, loss=float("nan")), finite]) is finite
+
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(7)
         records = [
-            self.rec(float(rng.choice([0.2, 0.5, 0.8])), float(rng.integers(1, 20)))
+            self.rec(float(rng.choice([0.2, 0.5, 0.8])), float(rng.integers(1, 20)),
+                     loss=float(rng.choice([0.5, 1.0])))
             for _ in range(50)
         ]
         got = select_best(records)
         want = records[0]
         for r in records[1:]:
-            if (r.holdout_accuracy, -r.resource) > (want.holdout_accuracy, -want.resource):
+            if (r.holdout_accuracy, -r.loss, -r.resource) > (
+                want.holdout_accuracy, -want.loss, -want.resource
+            ):
                 want = r
         assert got is want
 
@@ -301,7 +316,19 @@ class TestEvaluation:
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(9))
         holdout = tiny_holdout(seed=2)
         holdout.images, holdout.labels = holdout.images[:1], holdout.labels[:1]
-        assert evaluate_sample(net, net.full_choice(), holdout) in (0.0, 1.0)
+        accuracy, loss = evaluate_sample(net, net.full_choice(), holdout)
+        assert accuracy in (0.0, 1.0)
+        assert loss > 0.0
+
+    def test_batches_sum_to_the_one_batch_score(self):
+        specs = small_specs()
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(11))
+        holdout = tiny_holdout(seed=6)
+        choice = SubNetChoice(((3, 3), (4, 5), (6, 3)))
+        accuracy, loss = net.score(holdout.images, holdout.labels, choice, batch_size=len(holdout))
+        batched = net.score(holdout.images, holdout.labels, choice, batch_size=4)  # 4+4+4+3
+        assert batched[0] == accuracy
+        assert batched[1] == pytest.approx(loss, rel=1e-6)
 
     def test_equals_extracted_network_evaluation(self):
         specs = small_specs()
@@ -309,9 +336,11 @@ class TestEvaluation:
         holdout = tiny_holdout(seed=3)
         for pairs in [((3, 3), (0, 3), (6, 3)), ((6, 3), (2, 5), (4, 3))]:
             choice = SubNetChoice(pairs)
-            direct = evaluate_sample(net, choice, holdout)
-            extracted = net.extract(choice).evaluate(holdout.images, holdout.labels)
-            assert direct == extracted
+            accuracy, loss = evaluate_sample(net, choice, holdout)
+            extracted = net.extract(choice)
+            assert accuracy == extracted.evaluate(holdout.images, holdout.labels)
+            logits = extracted.forward(holdout.images)
+            assert loss == pytest.approx(T.softmax_cross_entropy(logits, holdout.labels)[0], rel=1e-6)
 
 
 class TestRunSearch:
@@ -379,7 +408,9 @@ class TestRunSearch:
             first = rows[r.iteration, r.duplicate_of]
             assert first.sample_id < r.sample_id and first.duplicate_of is None
             assert first.choice.key() == r.choice.key()
-            assert (r.holdout_accuracy, r.resource) == (first.holdout_accuracy, first.resource)
+            assert (r.holdout_accuracy, r.loss, r.resource) == (
+                first.holdout_accuracy, first.loss, first.resource
+            )
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_nonpositive_jobs_rejected(self, jobs):
@@ -568,12 +599,12 @@ class TestReplay:
 class TestLogFormat:
     def test_csv_shape_and_version_line(self):
         rows = [
-            SampleRecord(0, 0, SubNetChoice(((1, 3),)), 3.25, 0.5, chosen=1),
-            SampleRecord(0, 1, SubNetChoice(((1, 3),)), 3.0, 0.5, duplicate_of=0),
+            SampleRecord(0, 0, SubNetChoice(((1, 3),)), 3.25, 0.5, 0.75, chosen=1),
+            SampleRecord(0, 1, SubNetChoice(((1, 3),)), 3.0, 0.5, 0.75, duplicate_of=0),
         ]
         text = search_log_csv(rows)
         lines = text.strip().split("\n")
-        assert lines[0] == "# netshrink-search-log-v1"
-        assert lines[1] == "iteration,sample_id,resource,accuracy,chosen,duplicate_of"
-        assert lines[2] == "0,0,3.25,0.5,1,"
-        assert lines[3] == "0,1,3.0,0.5,0,0"
+        assert lines[0] == "# netshrink-search-log-v2"
+        assert lines[1] == "iteration,sample_id,resource,accuracy,loss,chosen,duplicate_of"
+        assert lines[2] == "0,0,3.25,0.5,0.75,1,"
+        assert lines[3] == "0,1,3.0,0.5,0.75,0,0"

@@ -199,7 +199,7 @@ class TestSuperkernel:
             T.conv2d_forward(x, w * taps, stride=1) + net.biases[0].value[None, :, None, None]
         )
         cropped, cache = net._layer_train(0, x, np.full(2, spec.t), k)
-        assert cache["cols"].shape[-1] == 3 * k * k
+        assert cache["cols"].shape == (3 * k * k, 2 * 8 * (8 + k - 1))  # [C*k*k, N*H_out*Wq]
         assert normalized_max_error(masked, cropped) < 1e-6
 
 

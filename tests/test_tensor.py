@@ -33,11 +33,18 @@ class TestConv2d:
         y = T.conv2d_forward(x, w, stride=1)
         np.testing.assert_allclose(y, x, rtol=1e-6)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_matches_loop_oracle(self, stride, k):
+    @pytest.mark.parametrize(
+        "stride,k,hw",
+        [
+            # the 8x8 cases keep their ids: kernel, then stride
+            pytest.param(s, k, hw, id=f"{k}-{s}" if hw == (8, 8) else f"{k}-{s}-{hw[0]}x{hw[1]}")
+            for k, hw in ((3, (8, 8)), (5, (8, 8)), (3, (7, 9)), (5, (7, 9)), (5, (5, 5)), (7, (8, 8)))
+            for s in (1, 2)
+        ],
+    )
+    def test_matches_loop_oracle(self, stride, k, hw):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        x = rng.standard_normal((2, 3, *hw)).astype(np.float32)
         w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
         got = T.conv2d_forward(x, w, stride=stride)
         want = loop_conv2d(x, w, stride=stride)
@@ -139,8 +146,10 @@ class TestConvColsContract:
         np.testing.assert_array_equal(dw_skip, dw)
 
     def test_im2col_shape(self):
+        # [C*k*k, N*H_out*Wq]: Wq is W_out at stride 2 and the padded width W+k-1 at stride 1
         x, _, _ = self._case(2, 5, hw=(7, 9))
-        assert T.im2col(x, 5, 2).shape == (3, 4 * 5, 4 * 25)
+        assert T.im2col(x, 5, 2).shape == (4 * 25, 3 * 4 * 5)
+        assert T.im2col(x, 5, 1).shape == (4 * 25, 3 * 7 * 13)
 
     @pytest.mark.parametrize(
         "bad,match",
@@ -152,10 +161,11 @@ class TestConvColsContract:
             (lambda x, w, dy, cols: (dy[:, :4], x, w, cols), "dy axis 1 has 4"),
             (lambda x, w, dy, cols: (dy[:, :, :3], x, w, cols), "dy axis 2 has 3"),
             (lambda x, w, dy, cols: (dy[:, :, :, :2], x, w, cols), "dy axis 3 has 2"),
-            (lambda x, w, dy, cols: (dy, x, w, cols[0]), "cols must be 3-D"),
+            (lambda x, w, dy, cols: (dy, x, w, cols[0]), "cols must be 2-D"),
             (lambda x, w, dy, cols: (dy, x, w, cols[:2]), "cols axis 0 has 2"),
             (lambda x, w, dy, cols: (dy, x, w, cols[:, :5]), "cols axis 1 has 5"),
-            (lambda x, w, dy, cols: (dy, x, w, cols[:, :, :30]), "cols axis 2 has 30"),
+            # the stride-1 columns of x: 8 rows of the padded width 8, not 4 rows of 3
+            (lambda x, w, dy, cols: (dy, x, w, T.im2col(x, 3, 1)), "cols axis 1 has 192"),
         ],
     )
     def test_backward_shape_checks_name_the_axis(self, bad, match):
@@ -166,7 +176,7 @@ class TestConvColsContract:
 
     def test_forward_rejects_cols_of_another_kernel(self):
         x, w, _ = self._case(1, 3)
-        with pytest.raises(ShapeError, match="cols axis 2"):
+        with pytest.raises(ShapeError, match="cols axis 0"):
             T.conv2d_forward(x, w, 1, cols=T.im2col(x, 5, 1))
 
 
