@@ -478,18 +478,14 @@ class SuperNetwork(_Network):
         return self.extract(choice).forward(x)
 
     def score(
-        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice,
-        batch_size: int = EVAL_BATCH_SIZE,
+        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice
     ) -> tuple[float, float]:
         """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
-        return _score(lambda x: self.forward_eval(x, choice), images, labels, batch_size)
+        return _score(lambda x: self.forward_eval(x, choice), images, labels, EVAL_BATCH_SIZE)
 
-    def evaluate(
-        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice,
-        batch_size: int = EVAL_BATCH_SIZE,
-    ) -> float:
+    def evaluate(self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
-        return self.score(images, labels, choice, batch_size)[0]
+        return self.score(images, labels, choice)[0]
 
     # -- export ----------------------------------------------------------------
 
@@ -683,10 +679,8 @@ class SubNetwork(_Network):
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
         return dx
 
-    def evaluate(
-        self, images: np.ndarray, labels: np.ndarray, batch_size: int = EVAL_BATCH_SIZE
-    ) -> float:
-        return _score(self.forward, images, labels, batch_size)[0]
+    def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
+        return _score(self.forward, images, labels, EVAL_BATCH_SIZE)[0]
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""

@@ -29,7 +29,7 @@ from netshrink.search import (
     trajectory_replay_finetune,
     write_trajectory,
 )
-from netshrink.supernet import LayerSpec, SubNetChoice, SuperNetwork, full_width_choice
+from netshrink.supernet import LayerSpec, SubNetChoice, SuperNetwork, _score, full_width_choice
 
 
 def small_specs():
@@ -325,8 +325,12 @@ class TestEvaluation:
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(11))
         holdout = tiny_holdout(seed=6)
         choice = SubNetChoice(((3, 3), (4, 5), (6, 3)))
-        accuracy, loss = net.score(holdout.images, holdout.labels, choice, batch_size=len(holdout))
-        batched = net.score(holdout.images, holdout.labels, choice, batch_size=4)  # 4+4+4+3
+
+        def forward(x):
+            return net.forward_eval(x, choice)
+
+        accuracy, loss = _score(forward, holdout.images, holdout.labels, len(holdout))
+        batched = _score(forward, holdout.images, holdout.labels, 4)  # 4+4+4+3
         assert batched[0] == accuracy
         assert batched[1] == pytest.approx(loss, rel=1e-6)
 
