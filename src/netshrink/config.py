@@ -2,11 +2,14 @@
 
 Validation is strict and runs before any compute: unknown keys are hard
 errors, every diagnostic names the offending field, and file references are
-checked for existence up front.
+checked for existence up front.  Each section key is declared once, as a
+`_key` field of its section's dataclass, and `_parse` builds any section
+from those fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, read_json
@@ -24,7 +27,22 @@ SEED_DISCOVERED = 4000
 SEED_COST = 5000
 
 
-def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> dict:
+# a key's type, by its field annotation (a string under `from __future__ import annotations`)
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _key(default=MISSING, *, lo=None, hi=None, choices=(), required=False, kinds=()):
+    """A config key, declared as a section dataclass field.
+
+    The field's annotation is the key's type; `lo`/`hi` bound a number and
+    `choices` lists the strings a key takes.  A `required` key has no usable
+    default; a key with `kinds` belongs only to sections of those kinds.
+    """
+    meta = {"lo": lo, "hi": hi, "choices": choices, "required": required, "kinds": kinds}
+    return field(default=default, metadata=meta)
+
+
+def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> None:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: must be an object, got {type(raw).__name__}")
     unknown = set(raw) - allowed
@@ -33,82 +51,100 @@ def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> dic
     missing = required - set(raw)
     if missing:
         raise ConfigError(f"{name}: missing required key(s) {sorted(missing)}")
-    return raw
 
 
-def _number(raw: dict, section: str, key: str, default=None, lo=None, hi=None, integer=False):
-    if key not in raw:
-        return default
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key}: must be a number, got {v!r}")
-    if integer and int(v) != v:
-        raise ConfigError(f"{section}.{key}: must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{section}.{key}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{section}.{key}: must be <= {hi}, got {v}")
-    return int(v) if integer else float(v)
-
-
-def _string(raw: dict, section: str, key: str, default=None, choices=None):
-    if key not in raw:
-        return default
-    v = raw[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{section}.{key}: must be a string, got {v!r}")
+def _value(where: str, v, kind: type, lo=None, hi=None, choices=()):
+    """`v` checked as a `kind` value within the bounds or choices; numbers must be finite."""
     if choices and v not in choices:
-        raise ConfigError(f"{section}.{key}: must be one of {sorted(choices)}, got {v!r}")
-    return v
+        raise ConfigError(f"{where}: must be one of {sorted(choices)}, got {v!r}")
+    if kind is str or kind is bool:
+        if not isinstance(v, kind):
+            what = "a string" if kind is str else "true or false"
+            raise ConfigError(f"{where}: must be {what}, got {v!r}")
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, +-Infinity, or an int past float range
+        raise ConfigError(f"{where}: must be a finite number, got {v!r}")
+    if kind is int and int(v) != v:
+        raise ConfigError(f"{where}: must be an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{where}: must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{where}: must be <= {hi}, got {v}")
+    return kind(v)
+
+
+def _field_value(section: str, f, v):
+    m = f.metadata
+    kind = _TYPES[f.type.removesuffix(" | None")]
+    return _value(f"{section}.{f.name}", v, kind, m["lo"], m["hi"], m["choices"])
+
+
+def _parse(cls, raw: dict, section: str):
+    """Build config section `cls` from its JSON object; `cls`'s fields are its keys.
+
+    When some fields belong to certain kinds only, the section's `kind` is
+    checked first, and the keys are the fields that apply to it.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section}: must be an object, got {type(raw).__name__}")
+    keys = {f.name: f for f in fields(cls)}
+    if any(f.metadata["kinds"] for f in keys.values()):
+        kind = _field_value(section, keys["kind"], raw.get("kind"))
+        keys = {n: f for n, f in keys.items() if kind in (f.metadata["kinds"] or (kind,))}
+    _section(raw, section, set(keys), {n for n, f in keys.items() if f.metadata["required"]})
+    return cls(**{n: _field_value(section, keys[n], v) for n, v in raw.items()})
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str  # synthetic | raster
-    classes: int = 0
-    per_class: int = 0
-    height: int = 0
-    width: int = 0
-    channels: int = 0
-    noise: float = 0.25
-    path: str = ""
-    holdout_fraction: float = 0.1
-    test_fraction: float = 0.15
+    kind: str = _key(choices=("synthetic", "raster"), required=True)
+    classes: int = _key(0, lo=2, required=True, kinds=("synthetic",))
+    per_class: int = _key(0, lo=2, required=True, kinds=("synthetic",))
+    height: int = _key(0, lo=1, required=True, kinds=("synthetic",))
+    width: int = _key(0, lo=1, required=True, kinds=("synthetic",))
+    channels: int = _key(3, lo=1, kinds=("synthetic",))
+    noise: float = _key(0.25, lo=0.0, kinds=("synthetic",))
+    path: str = _key("", required=True, kinds=("raster",))
+    holdout_fraction: float = _key(0.1, lo=1e-9, hi=0.5)
+    test_fraction: float = _key(0.15, lo=1e-9, hi=0.5)
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int = 40
-    batch_size: int = 64
-    learning_rate: float = 0.05
-    weight_decay: float = 1e-4
-    lr_decay: float = 1.0
+    epochs: int = _key(40, lo=1)
+    batch_size: int = _key(64, lo=1)
+    learning_rate: float = _key(0.05, lo=1e-9)
+    weight_decay: float = _key(1e-4, lo=0.0)
+    lr_decay: float = _key(1.0, lo=1e-9, hi=1.0)
 
 
 @dataclass(frozen=True)
 class SearchSection:
-    samples_per_iteration: int = 20
-    layers_per_sample: int = 3
-    init_reduction: float = 0.03
-    decay: float = 0.98
-    target_fraction: float | None = None
-    target_resource: float | None = None
-    metric: str = "latency"
-    optimizer: str = "mcd"
+    samples_per_iteration: int = _key(20, lo=1)
+    layers_per_sample: int = _key(3, lo=1)
+    init_reduction: float = _key(0.03, lo=1e-9, hi=0.999)
+    decay: float = _key(0.98, lo=1e-9, hi=1.0)
+    target_fraction: float | None = _key(None, lo=1e-9, hi=1.0)
+    target_resource: float | None = _key(None, lo=1e-12)
+    metric: str = _key("latency", choices=("latency", "macs"))
+    optimizer: str = _key("mcd", choices=("mcd", "scd"))
 
 
 @dataclass(frozen=True)
 class CostConfig:
-    kind: str = "synthetic"  # synthetic | file (latency); macs needs no source
-    path: str = ""
-    interpolate: bool = False
+    # the latency table's source; the macs metric needs none
+    kind: str = _key("synthetic", choices=("synthetic", "file"))
+    path: str = _key("")
+    interpolate: bool = _key(False)
 
 
 @dataclass(frozen=True)
 class DiscoveredConfig:
-    mode: str = "replay"  # replay | scratch
-    epochs: int = 30
-    replay_epochs_per_step: int = 2
+    mode: str = _key("replay", choices=("replay", "scratch"))
+    epochs: int = _key(30, lo=1)
+    replay_epochs_per_step: int = _key(2, lo=1)
 
 
 @dataclass(frozen=True)
@@ -126,43 +162,6 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _parse_dataset(raw: dict) -> DatasetConfig:
-    kind = _string(raw, "dataset", "kind", choices={"synthetic", "raster"})
-    if kind is None:
-        raise ConfigError("dataset.kind: missing (synthetic or raster)")
-    common = {"kind", "holdout_fraction", "test_fraction"}
-    if kind == "synthetic":
-        allowed = common | {"classes", "per_class", "height", "width", "channels", "noise"}
-        _section(raw, "dataset", allowed, {"kind", "classes", "per_class", "height", "width"})
-        return DatasetConfig(
-            kind=kind,
-            classes=_number(raw, "dataset", "classes", lo=2, integer=True),
-            per_class=_number(raw, "dataset", "per_class", lo=2, integer=True),
-            height=_number(raw, "dataset", "height", lo=1, integer=True),
-            width=_number(raw, "dataset", "width", lo=1, integer=True),
-            channels=_number(raw, "dataset", "channels", default=3, lo=1, integer=True),
-            noise=_number(raw, "dataset", "noise", default=0.25, lo=0.0),
-            holdout_fraction=_number(raw, "dataset", "holdout_fraction", default=0.1, lo=1e-9, hi=0.5),
-            test_fraction=_number(raw, "dataset", "test_fraction", default=0.15, lo=1e-9, hi=0.5),
-        )
-    _section(raw, "dataset", common | {"path"}, {"kind", "path"})
-    path = Path(_string(raw, "dataset", "path"))
-    if not path.exists():
-        raise ConfigError(f"dataset.path: file not found: {path}")
-    n, c, h, w, classes = raster_header(path)
-    return DatasetConfig(
-        kind=kind,
-        classes=classes,
-        per_class=0,
-        height=h,
-        width=w,
-        channels=c,
-        path=str(path),
-        holdout_fraction=_number(raw, "dataset", "holdout_fraction", default=0.1, lo=1e-9, hi=0.5),
-        test_fraction=_number(raw, "dataset", "test_fraction", default=0.15, lo=1e-9, hi=0.5),
-    )
-
-
 def _parse_layers(raw_net: dict, channels: int) -> tuple[LayerSpec, ...]:
     _section(raw_net, "network", {"layers"}, {"layers"})
     rows = raw_net["layers"]
@@ -172,18 +171,14 @@ def _parse_layers(raw_net: dict, channels: int) -> tuple[LayerSpec, ...]:
     c_in = channels
     for i, row in enumerate(rows):
         name = f"network.layers[{i}]"
-        allowed = {"filters", "kernel", "stride", "width_grid", "kernel_grid"}
-        _section(row, name, allowed, set())
-        filters = _number(row, name, "filters", default=c_in, lo=1, integer=True)
-        kernel = _number(row, name, "kernel", default=3, lo=3, integer=True)
-        stride = _number(row, name, "stride", default=1, lo=1, hi=2, integer=True)
-        width_grid = row.get("width_grid", ())
-        kernel_grid = row.get("kernel_grid", ())
-        for gname, grid in (("width_grid", width_grid), ("kernel_grid", kernel_grid)):
-            if grid and (
-                not isinstance(grid, list) or any(not isinstance(v, int) for v in grid)
-            ):
-                raise ConfigError(f"{name}.{gname}: must be a list of integers")
+        _section(row, name, {"filters", "kernel", "stride", "width_grid", "kernel_grid"}, set())
+        filters = _value(f"{name}.filters", row.get("filters", c_in), int, lo=1)
+        kernel = _value(f"{name}.kernel", row.get("kernel", 3), int, lo=3)
+        stride = _value(f"{name}.stride", row.get("stride", 1), int, lo=1, hi=2)
+        grids = {g: row.get(g, []) for g in ("width_grid", "kernel_grid")}
+        for g, grid in grids.items():
+            if not isinstance(grid, list) or any(type(v) is not int for v in grid):
+                raise ConfigError(f"{name}.{g}: must be a list of integers, got {grid!r}")
         try:
             specs.append(
                 LayerSpec(
@@ -192,8 +187,8 @@ def _parse_layers(raw_net: dict, channels: int) -> tuple[LayerSpec, ...]:
                     t=filters,
                     k_max=kernel,
                     stride=stride,
-                    width_grid=tuple(width_grid),
-                    kernel_grid=tuple(kernel_grid),
+                    width_grid=tuple(grids["width_grid"]),
+                    kernel_grid=tuple(grids["kernel_grid"]),
                 )
             )
         except Exception as e:
@@ -211,42 +206,22 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     top_allowed = {"seed", "dataset", "network", "training", "search", "cost", "discovered"}
     _section(raw, "config", top_allowed, {"seed", "dataset", "network", "search"})
 
-    seed = _number(raw, "config", "seed", lo=0, integer=True)
+    seed = _value("config.seed", raw["seed"], int, lo=0)
     if seed_override is not None:
-        seed = seed_override
-    dataset = _parse_dataset(raw["dataset"])
+        seed = _value("--seed", seed_override, int, lo=0)
+    dataset = _parse(DatasetConfig, raw["dataset"], "dataset")
+    if dataset.kind == "raster":
+        data_path = Path(dataset.path)
+        if not data_path.exists():
+            raise ConfigError(f"dataset.path: file not found: {data_path}")
+        n, c, h, w, classes = raster_header(data_path)
+        dataset = replace(
+            dataset, classes=classes, height=h, width=w, channels=c, path=str(data_path)
+        )
     layers = _parse_layers(raw["network"], dataset.channels)
+    training = _parse(TrainingConfig, raw.get("training", {}), "training")
 
-    t_raw = raw.get("training", {})
-    _section(t_raw, "training", {"epochs", "batch_size", "learning_rate", "weight_decay", "lr_decay"}, set())
-    training = TrainingConfig(
-        epochs=_number(t_raw, "training", "epochs", default=40, lo=1, integer=True),
-        batch_size=_number(t_raw, "training", "batch_size", default=64, lo=1, integer=True),
-        learning_rate=_number(t_raw, "training", "learning_rate", default=0.05, lo=1e-9),
-        weight_decay=_number(t_raw, "training", "weight_decay", default=1e-4, lo=0.0),
-        lr_decay=_number(t_raw, "training", "lr_decay", default=1.0, lo=1e-9, hi=1.0),
-    )
-
-    s_raw = raw["search"]
-    _section(
-        s_raw,
-        "search",
-        {
-            "samples_per_iteration", "layers_per_sample", "init_reduction", "decay",
-            "target_fraction", "target_resource", "metric", "optimizer",
-        },
-        set(),
-    )
-    search = SearchSection(
-        samples_per_iteration=_number(s_raw, "search", "samples_per_iteration", default=20, lo=1, integer=True),
-        layers_per_sample=_number(s_raw, "search", "layers_per_sample", default=3, lo=1, integer=True),
-        init_reduction=_number(s_raw, "search", "init_reduction", default=0.03, lo=1e-9, hi=0.999),
-        decay=_number(s_raw, "search", "decay", default=0.98, lo=1e-9, hi=1.0),
-        target_fraction=_number(s_raw, "search", "target_fraction", default=None, lo=1e-9, hi=1.0),
-        target_resource=_number(s_raw, "search", "target_resource", default=None, lo=1e-12),
-        metric=_string(s_raw, "search", "metric", default="latency", choices={"latency", "macs"}),
-        optimizer=_string(s_raw, "search", "optimizer", default="mcd", choices={"mcd", "scd"}),
-    )
+    search = _parse(SearchSection, raw["search"], "search")
     if (search.target_fraction is None) == (search.target_resource is None):
         raise ConfigError("search: give exactly one of target_fraction or target_resource")
     if search.layers_per_sample > len(layers):
@@ -255,16 +230,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             f"{len(layers)} network layers"
         )
 
-    c_raw = raw.get("cost", {})
-    _section(c_raw, "cost", {"kind", "path", "interpolate"}, set())
-    interpolate = c_raw.get("interpolate", False)
-    if not isinstance(interpolate, bool):
-        raise ConfigError(f"cost.interpolate: must be true or false, got {interpolate!r}")
-    cost = CostConfig(
-        kind=_string(c_raw, "cost", "kind", default="synthetic", choices={"synthetic", "file"}),
-        path=_string(c_raw, "cost", "path", default=""),
-        interpolate=interpolate,
-    )
+    cost = _parse(CostConfig, raw.get("cost", {}), "cost")
     if cost.kind == "file":
         if not cost.path:
             raise ConfigError("cost.path: required when cost.kind is 'file'")
@@ -272,14 +238,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             raise ConfigError(f"cost.path: file not found: {cost.path}")
     if search.metric == "macs" and cost.kind == "file":
         raise ConfigError("cost: the macs metric needs no table file; remove cost.kind='file'")
-
-    d_raw = raw.get("discovered", {})
-    _section(d_raw, "discovered", {"mode", "epochs", "replay_epochs_per_step"}, set())
-    discovered = DiscoveredConfig(
-        mode=_string(d_raw, "discovered", "mode", default="replay", choices={"replay", "scratch"}),
-        epochs=_number(d_raw, "discovered", "epochs", default=30, lo=1, integer=True),
-        replay_epochs_per_step=_number(d_raw, "discovered", "replay_epochs_per_step", default=2, lo=1, integer=True),
-    )
 
     return ExperimentConfig(
         seed=seed,
@@ -291,6 +249,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         training=training,
         search=search,
         cost=cost,
-        discovered=discovered,
+        discovered=_parse(DiscoveredConfig, raw.get("discovered", {}), "discovered"),
         raw=raw,
     )

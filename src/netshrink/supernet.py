@@ -171,6 +171,14 @@ class LayerSpec:
     def bypass_enabled(self) -> bool:
         return self.stride == 1
 
+    def bypass_end(self, z_in: int) -> int:
+        """End of the inputs routed straight through when z_in channels arrive.
+
+        Under width M the layer's output is its M filters followed by inputs
+        M..bypass_end(z_in) - 1 (none when M is past the end).
+        """
+        return min(z_in, self.min_ct) if self.bypass_enabled else 0
+
     def validate_choice(self, m: int, k: int) -> None:
         if m not in self.width_grid:
             raise GridError(f"layer {self.index}: width {m} not in grid {self.width_grid}")
@@ -226,7 +234,7 @@ def channel_flow(specs: Sequence[LayerSpec], choice: SubNetChoice) -> list[int]:
     flow = [specs[0].c]
     r = specs[0].c
     for spec, (m, _) in zip(specs, choice.pairs):
-        r = max(m, min(r, spec.min_ct)) if spec.bypass_enabled else m
+        r = max(m, spec.bypass_end(r))
         flow.append(r)
     return flow
 
@@ -260,7 +268,7 @@ def sliced_layer(
     if m > 0:
         y = T.conv2d_forward(x, weight, spec.stride, cols=cols) + bias[None, :, None, None]
         parts.append(T.relu(y))
-    hi = min(x.shape[1], spec.min_ct) if spec.bypass_enabled else 0
+    hi = spec.bypass_end(x.shape[1])
     if m < hi:
         parts.append(x[:, m:hi])
     return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), y
@@ -674,7 +682,7 @@ class SubNetwork(_Network):
             return None
         if dx is None:
             dx = np.zeros_like(x)
-        hi = min(x.shape[1], spec.min_ct) if spec.bypass_enabled else 0
+        hi = spec.bypass_end(x.shape[1])
         if layer.m < hi:
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
         return dx

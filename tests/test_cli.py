@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from netshrink import cli
 from netshrink import tensor as T
 from netshrink.cli import main
+from netshrink import config as cfgmod
 from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
 from netshrink.errors import ConfigError, NetshrinkError, ParseError
@@ -105,12 +108,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="layers_per_sample"):
             load_config(path)
 
-    def test_bad_grid_names_layer(self, tmp_path):
+    @pytest.mark.parametrize(
+        "grid, value, where",
+        [
+            pytest.param("width_grid", [0, 3], "network.layers[0]", id="width-without-t"),
+            pytest.param("width_grid", {}, "network.layers[0].width_grid", id="width-object"),
+            pytest.param("width_grid", [True, 6], "network.layers[0].width_grid", id="width-bool"),
+            pytest.param("kernel_grid", False, "network.layers[0].kernel_grid", id="kernel-false"),
+        ],
+    )
+    def test_bad_grid_names_layer(self, tmp_path, grid, value, where):
         path = write_config(
             tmp_path / "c.json",
-            network={"layers": [{"filters": 6, "kernel": 3, "width_grid": [0, 3]}]},
+            network={"layers": [{"filters": 6, "kernel": 3, grid: value}]},
         )
-        with pytest.raises(ConfigError, match=r"network.layers\[0\]"):
+        with pytest.raises(ConfigError, match=re.escape(where)):
             load_config(path)
 
     @pytest.mark.parametrize("value", ["no", 0, [1]])
@@ -123,6 +135,83 @@ class TestConfigValidation:
         path = write_config(tmp_path / "c.json")
         assert load_config(path).seed == 3
         assert load_config(path, seed_override=99).seed == 99
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            pytest.param({"training": {"epochs": math.inf}}, "training.epochs", id="int-key"),
+            pytest.param(
+                {"training": {"learning_rate": math.nan}}, "training.learning_rate", id="float-key"
+            ),
+            pytest.param(
+                {"search": {"target_fraction": math.nan}}, "search.target_fraction", id="target"
+            ),
+            pytest.param({"seed": -math.inf}, "config.seed", id="seed"),
+            pytest.param(
+                {"network": {"layers": [{"filters": math.nan}]}},
+                "network.layers[0].filters",
+                id="layer-row",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_name_the_field(self, tmp_path, overrides, where):
+        path = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match=re.escape(where) + ": must be a finite number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("seed", [-1, math.nan])
+    def test_seed_override_is_checked(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="--seed"):
+            load_config(write_config(tmp_path / "c.json"), seed_override=seed)
+
+    def test_negative_seed_flag_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json")
+        argv = ["train-supernet", "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed: must be >= 0" in err and "Traceback" not in err
+
+    def test_required_keys_alone_give_the_defaults(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 0,
+            "dataset": {"kind": "synthetic", "classes": 2, "per_class": 2, "height": 4, "width": 4},
+            "network": {"layers": [{}, {}, {}]},
+            "search": {"target_fraction": 0.5},
+        }))
+        cfg = load_config(path)
+        assert dataclasses.asdict(cfg.dataset) == {
+            "kind": "synthetic", "classes": 2, "per_class": 2, "height": 4, "width": 4,
+            "channels": 3, "noise": 0.25, "path": "", "holdout_fraction": 0.1,
+            "test_fraction": 0.15,
+        }
+        assert [(s.c, s.t, s.k_max, s.stride) for s in cfg.layers] == [(3, 3, 3, 1)] * 3
+        assert dataclasses.asdict(cfg.training) == {
+            "epochs": 40, "batch_size": 64, "learning_rate": 0.05, "weight_decay": 1e-4,
+            "lr_decay": 1.0,
+        }
+        assert dataclasses.asdict(cfg.search) == {
+            "samples_per_iteration": 20, "layers_per_sample": 3, "init_reduction": 0.03,
+            "decay": 0.98, "target_fraction": 0.5, "target_resource": None,
+            "metric": "latency", "optimizer": "mcd",
+        }
+        assert dataclasses.asdict(cfg.cost) == {"kind": "synthetic", "path": "", "interpolate": False}
+        assert dataclasses.asdict(cfg.discovered) == {
+            "mode": "replay", "epochs": 30, "replay_epochs_per_step": 2,
+        }
+
+    def test_readme_table_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sections = {
+            "dataset": cfgmod.DatasetConfig,
+            "training": cfgmod.TrainingConfig,
+            "search": cfgmod.SearchSection,
+            "cost": cfgmod.CostConfig,
+            "discovered": cfgmod.DiscoveredConfig,
+        }
+        documented = set(re.findall(rf"^\| `((?:{'|'.join(sections)})\.\w+)` \|", readme, re.M))
+        declared = {f"{name}.{f.name}" for name, cls in sections.items() for f in dataclasses.fields(cls)}
+        assert documented == declared
 
 
 class TestTrainSupernetCommand:

@@ -632,6 +632,32 @@ class TestUnifiedPaths:
                 net.extract(choice).forward(x), net.forward_eval(x, choice), err_msg=str(choice)
             )
 
+    def test_channel_flow_is_what_the_extracted_forward_produces(self):
+        specs = [
+            LayerSpec(index=0, c=3, t=6, k_max=3, width_grid=(0, 2, 6)),  # expands
+            LayerSpec(index=1, c=6, t=4, k_max=3, width_grid=(0, 1, 4)),  # contracts
+            LayerSpec(index=2, c=4, t=6, k_max=3, stride=2, width_grid=(1, 3, 6)),
+            LayerSpec(index=3, c=6, t=6, k_max=3, width_grid=(0, 2, 6)),
+        ]
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(24))
+        x = np.zeros((1, 3, 6, 6), dtype=np.float32)
+        below_z = 0  # layers whose real output is below Z, after a shrunk expanding layer
+        for choice in every_choice(specs):
+            sub = net.extract(choice)
+            sub.forward(x, record=True)
+            real = [None] * len(specs) + [sub._cache["head"]["conv_shape"][1]]
+            for layer, cache in zip(sub.layers, sub._cache["caches"]):
+                real[layer.spec.index] = cache["x"].shape[1]
+            for i in reversed(range(len(specs))):  # a dropped width-0 layer passes x through
+                if real[i] is None:
+                    real[i] = real[i + 1]
+            assert channel_flow(specs, choice) == real, choice
+            for spec, (m, _), z_in, z_out in zip(specs, choice.pairs, real, real[1:]):
+                if spec.stride == 1:
+                    assert z_out == cbc_output_channels(z_in, spec.t, m), (choice, spec.index)
+                    below_z += z_out < cbc_output_channels(spec.c, spec.t, m)
+        assert below_z > 0
+
     def test_shrink_is_bitwise_a_direct_extraction(self):
         net = SuperNetwork(mixed_small_specs(), (8, 8), 3, rng=np.random.default_rng(22))
         choices = every_choice(net.specs)
