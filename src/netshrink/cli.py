@@ -21,7 +21,7 @@ from . import search as searchmod
 from .config import ExperimentConfig, load_config
 from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table, total_resource
 from .data import Dataset, load_raster, synth_classification, three_way_split
-from .errors import ConfigError, NetshrinkError, ParseError, StateError, read_json
+from .errors import ConfigError, NetshrinkError, ParseError, StateError, read_json, write_atomic
 from .search import SearchConfig, run_search, train_subnetwork, trajectory_replay_finetune
 from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
@@ -31,6 +31,33 @@ METRICS_FORMAT = "netshrink-metrics-v1"
 CURVE_FORMAT = "netshrink-training-curve-v1"
 
 
+def _lock_holder(lock: Path) -> str:
+    """Why an existing `lock` blocks a command: the pid it holds, and whether that pid runs.
+
+    The lock is never removed here: a pid can be reused, or come from another
+    pid namespace, so only the operator can tell that a lock is stale.
+    """
+    try:
+        pid = int(lock.read_text())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return (
+            f"locked ({lock} holds no pid): another command may be writing here; "
+            f"if none is, remove the stale lock {lock}"
+        )
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"locked by pid {pid}, which is not running: remove the stale lock {lock}"
+    except PermissionError:
+        pass  # the process exists under another user
+    return (
+        f"locked by pid {pid}, which is running: another command may be writing here; "
+        f"if pid {pid} is not a netshrink command, remove the stale lock {lock}"
+    )
+
+
 @contextmanager
 def _run_lock(run_dir: Path):
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -38,10 +65,7 @@ def _run_lock(run_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise StateError(
-            f"run directory is locked ({lock} exists); another command may be "
-            "writing here, or remove the stale lock"
-        ) from None
+        raise StateError(f"run directory is {_lock_holder(lock)}") from None
     os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
     try:
@@ -52,17 +76,19 @@ def _run_lock(run_dir: Path):
 
 def _write_provenance(stage_dir: Path, cfg: ExperimentConfig, stage: str, seconds: float) -> None:
     stage_dir.mkdir(parents=True, exist_ok=True)
-    (stage_dir / "config.json").write_text(
+    write_atomic(
+        stage_dir / "config.json",
         json.dumps(
             {"format": cfgmod.CONFIG_FORMAT, "effective_seed": cfg.seed, "source": cfg.raw},
             indent=1,
-        )
+        ),
     )
-    (stage_dir / "stage.json").write_text(
+    write_atomic(
+        stage_dir / "stage.json",
         json.dumps(
             {"format": STAGE_FORMAT, "stage": stage, "seconds": seconds, "seed": cfg.seed},
             indent=1,
-        )
+        ),
     )
 
 
@@ -156,7 +182,7 @@ def cmd_train_supernet(args) -> int:
         stage_dir = out / "supernet"
         stage_dir.mkdir(parents=True, exist_ok=True)
         net.save(stage_dir / "checkpoint.json")
-        (stage_dir / "training_curve.csv").write_text(_curve_csv(history))
+        write_atomic(stage_dir / "training_curve.csv", _curve_csv(history))
         _write_provenance(stage_dir, cfg, "train-supernet", time.perf_counter() - started)
     final = history[-1]
     print(
@@ -188,7 +214,7 @@ def cmd_search(args) -> int:
         stage_dir = out / "search"
         stage_dir.mkdir(parents=True, exist_ok=True)
         searchmod.write_trajectory(stage_dir / "trajectory.json", net, result.trajectory)
-        (stage_dir / "search_log.csv").write_text(searchmod.search_log_csv(result.log_rows))
+        write_atomic(stage_dir / "search_log.csv", searchmod.search_log_csv(result.log_rows))
         save_architecture(
             stage_dir / "discovered_architecture.json",
             net.architecture_json(result.trajectory[-1].choice),
@@ -271,7 +297,7 @@ def cmd_train_discovered(args) -> int:
         save_architecture(
             stage_dir / "architecture.json", net.architecture_json(final_choice)
         )
-        (stage_dir / "metrics.json").write_text(json.dumps(metrics, indent=1))
+        write_atomic(stage_dir / "metrics.json", json.dumps(metrics, indent=1))
         _write_provenance(stage_dir, cfg, "train-discovered", time.perf_counter() - started)
     print(
         f"trained discovered network ({mode}): test accuracy "

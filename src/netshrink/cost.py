@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LookupMissError, ParseError, read_json
+from .errors import LookupMissError, ParseError, read_json, write_atomic
 from .supernet import LayerSpec, SubNetChoice, spatial_flow
 
 LATENCY_TABLE_FORMAT = "netshrink-latency-table-v1"
@@ -146,7 +146,7 @@ class LatencyTable:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1))
+        write_atomic(path, json.dumps(self.to_json(), indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "LatencyTable":

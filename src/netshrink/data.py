@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, write_atomic
 
 RASTER_MAGIC = b"NSRAST1\0"
 _HEADER = struct.Struct("<5I")  # N, C, H, W, classes; little-endian after the magic
@@ -119,11 +119,8 @@ def save_raster(path: str | Path, dataset: Dataset) -> None:
     n, c, h, w = images.shape
     pixels = np.rint(images * 255.0).astype(np.uint8)
     labels = dataset.labels.astype("<u2")
-    with open(path, "wb") as fh:
-        fh.write(RASTER_MAGIC)
-        fh.write(_HEADER.pack(n, c, h, w, dataset.classes))
-        fh.write(pixels.tobytes())
-        fh.write(labels.tobytes())
+    header = _HEADER.pack(n, c, h, w, dataset.classes)
+    write_atomic(path, b"".join((RASTER_MAGIC, header, pixels.tobytes(), labels.tobytes())))
 
 
 def raster_header(path: str | Path) -> tuple[int, int, int, int, int]:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the JSON reader that raises them."""
+"""Exception types shared across the package, the JSON reader that raises them,
+and the atomic writer every artifact goes through."""
 
 import json
+import os
 from pathlib import Path
 
 
@@ -56,3 +58,21 @@ def read_json(path: str | Path, what: str):
         raise ParseError(f"{what} {path} nests JSON arrays or objects too deeply") from None
     except ValueError as e:  # e.g. an integer literal too long to convert
         raise ParseError(f"{what} {path} cannot be parsed: {e}") from None
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace `path` with `data` in one step: a reader sees the old file or the new one.
+
+    The data goes to a temp file in the same directory, which ``os.replace``
+    then renames over `path`.  If either step fails the temp file is removed,
+    so a crashed or failed write leaves the previous artifact's bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

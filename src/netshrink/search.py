@@ -22,7 +22,9 @@ import numpy as np
 from . import tensor as T
 from .cost import total_resource
 from .data import Dataset
-from .errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError, read_json
+from .errors import (
+    FeasibilityError, GridError, InfeasibleTargetError, ParseError, read_json, write_atomic,
+)
 from .supernet import (
     LayerSpec,
     SubNetChoice,
@@ -375,7 +377,7 @@ def search_log_csv(rows: Sequence[SampleRecord]) -> str:
 def write_trajectory(path: str | Path, supernet: SuperNetwork, trajectory: Sequence[SampleRecord]) -> None:
     """JSON list of architecture JSONs, initial network first."""
     rows = [supernet.architecture_json(rec.choice) for rec in trajectory]
-    Path(path).write_text(json.dumps(rows, indent=1))
+    write_atomic(path, json.dumps(rows, indent=1))
 
 
 def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[SubNetChoice]:

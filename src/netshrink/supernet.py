@@ -20,7 +20,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import GridError, ParseError, ShapeError, StateError, read_json
+from .errors import GridError, ParseError, ShapeError, StateError, read_json, write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +785,7 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
 
 
 def save_architecture(path: str | Path, rows: list[dict]) -> None:
-    Path(path).write_text(json.dumps(rows, indent=1))
+    write_atomic(path, json.dumps(rows, indent=1))
 
 
 def load_architecture(path: str | Path, specs: Sequence[LayerSpec]) -> SubNetChoice:

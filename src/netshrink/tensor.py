@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ParseError, ShapeError, read_json
+from .errors import ParseError, ShapeError, read_json, write_atomic
 
 DEFAULT_DTYPE = np.float32
 
@@ -174,15 +174,32 @@ def conv2d_backward(
     dw = (cols @ dyq.T).T.reshape(w.shape)
     if not need_dx:
         return None, dw
-    dcols = (w.reshape(f, -1).T @ dyq).reshape(c, k, k, n, h_out, wq)
-    dxp = np.zeros((n, c, h + k, wd + k - 1), dtype=x.dtype)
-    taps = _taps(dxp, k, stride, h_out, wq)
-    # taps overlap one another, so one add per tap; each is a contiguous run at stride 1
-    for u in range(k):
-        for v in range(k):
-            taps[:, u, v] += dcols[:, u, v]
-    pad = (k - 1) // 2
-    return np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + wd]), dw
+    # dx is the transposed convolution of dy (arXiv 1603.07285) split into
+    # stride**2 sub-pixel phases (arXiv 1609.05158).  Per axis, dx[s*p + r] =
+    # sum over e of dy[p + e] * w[r + pad - s*e]: each phase r is a stride-1
+    # correlation of a window of d dy values, e = lo .. lo + d - 1, with taps
+    # that leave [0, k) weighing zero.  In the flipped kernel, zero-padded by
+    # `a` in front to s*d taps, phase r's taps are every s-th from s - 1 - r.
+    s, pad = stride, (k - 1) // 2
+    lo = -(pad // s)
+    d = (s - 1 + pad) // s - lo + 1
+    a = s - 1 - pad % s
+    wz = np.zeros((f, c, s * d, s * d), dtype=w.dtype)
+    wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
+    wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
+    wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
+    wp = w_out + d - 1
+    dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
+    dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
+    dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f * d * d, -1)
+    phases = (wph @ dycols).reshape(s, s, c, n, h_out, wp)
+    # interleave the phases into NCHW; at odd extents the last phases run one short
+    dx = np.empty(x.shape, dtype=x.dtype)
+    for r in range(s):
+        for t in range(s):
+            dst = dx[:, :, r::s, t::s]
+            dst[...] = phases[r, t, :, :, : dst.shape[2], : dst.shape[3]].transpose(1, 0, 2, 3)
+    return dx, dw
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -255,16 +272,17 @@ def sgd_step(params: list[Parameter], lr: float, weight_decay: float = 0.0) -> N
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named arrays as a versioned JSON map: name -> {shape, flat data}."""
+    """Write named arrays as a versioned, compact JSON map: name -> {shape, flat data}."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "meta": meta or {},
         "tensors": {
-            name: {"shape": list(arr.shape), "data": [float(v) for v in np.ravel(arr)]}
+            name: {"shape": list(arr.shape), "data": np.ravel(arr).tolist()}
             for name, arr in tensors.items()
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    # no indent: json.dumps then runs its C encoder, not the pure-Python one
+    write_atomic(path, json.dumps(payload, separators=(",", ":")))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

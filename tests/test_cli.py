@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +250,35 @@ class TestTrainSupernetCommand:
         code = main(["train-supernet", "--config", str(cfg), "--out", str(run)])
         assert code == 1
         assert "locked" in capsys.readouterr().err
+
+    def _locked_run(self, tmp_path, capsys, content: bytes) -> tuple[str, Path]:
+        cfg = write_config(tmp_path / "c.json")
+        lock = tmp_path / "run" / ".lock"
+        lock.parent.mkdir()
+        lock.write_bytes(content)
+        assert main(["train-supernet", "--config", str(cfg), "--out", str(lock.parent)]) == 1
+        assert lock.read_bytes() == content  # never removed, whatever it holds
+        assert not (lock.parent / "supernet").exists()
+        return capsys.readouterr().err, lock
+
+    def test_lock_error_names_a_running_holder(self, tmp_path, capsys):
+        err, _ = self._locked_run(tmp_path, capsys, f"{os.getpid()}\n".encode())
+        assert f"locked by pid {os.getpid()}, which is running" in err
+
+    def test_lock_error_names_an_exited_holder(self, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        err, lock = self._locked_run(tmp_path, capsys, f"{child.pid}\n".encode())
+        assert f"locked by pid {child.pid}, which is not running: remove the stale lock {lock}" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"not a pid\n", b"0\n", b"-1\n", b"\xff\xfe", b"9" * 30],
+        ids=["empty", "text", "zero", "negative", "non-utf8", "over-long"],
+    )
+    def test_lock_without_a_live_pid_fails_cleanly(self, tmp_path, capsys, content):
+        err, lock = self._locked_run(tmp_path, capsys, content)
+        assert err.startswith("error: run directory is locked") and err.count("\n") == 1
+        assert f"remove the stale lock {lock}" in err
 
     @pytest.mark.parametrize("command", ["train-supernet", "train-discovered"])
     def test_jobs_is_a_search_only_flag(self, tmp_path, command):
@@ -571,3 +603,57 @@ class TestReportRecordShapes:
         err = capsys.readouterr().err
         assert str(run / "search" / "stage.json") in err
         assert "'seconds'" in err or "must be a JSON object" in err
+
+
+class TestAtomicWrites:
+    """Every artifact goes through one writer: a temp file renamed over the target."""
+
+    @staticmethod
+    def _writers():
+        from netshrink.cost import synthetic_latency_table
+        from netshrink.data import Dataset, save_raster
+        from netshrink.errors import write_atomic
+        from netshrink.supernet import LayerSpec, save_architecture
+
+        layers = [LayerSpec(index=0, c=2, t=4, k_max=3, stride=1)]
+        images = np.zeros((2, 1, 3, 3), dtype=np.float32)
+        return {
+            "checkpoint": lambda p: T.save_checkpoint(p, {"w": np.ones((2, 3))}, meta={"a": 1}),
+            "latency-table": lambda p: synthetic_latency_table(layers, (6, 6), seed=1).save(p),
+            "architecture": lambda p: save_architecture(p, [{"kind": "dense"}]),
+            "raster": lambda p: save_raster(p, Dataset(images, np.zeros(2, dtype=np.int64), 2)),
+            "text": lambda p: write_atomic(p, "new text\n"),
+        }
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "latency-table", "architecture", "raster", "text"])
+    def test_failed_replace_keeps_the_previous_artifact(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"previous bytes")
+        self._writers()[writer](target)  # the same writer succeeds unpatched
+        written = target.read_bytes()
+        assert written != b"previous bytes" and os.listdir(tmp_path) == ["artifact"]
+
+        target.write_bytes(b"previous bytes")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            self._writers()[writer](target)
+        assert target.read_bytes() == b"previous bytes"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_no_artifact_is_written_in_place(self):
+        # only errors.write_atomic opens a file for writing
+        src = Path(cli.__file__).parent
+        pattern = re.compile(r"write_text\(|write_bytes\(|open\([^)]*[\"'][wax]")
+        offenders = [
+            f"{path.name}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if pattern.search(line)
+        ]
+        assert offenders == [
+            'errors.py: with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:'
+        ]

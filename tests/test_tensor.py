@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netshrink import tensor as T
 from netshrink.errors import ParseError, ShapeError
@@ -109,6 +111,30 @@ class TestConv2d:
 
         (fd_x,) = finite_difference_grads(loss_x, [xp], h=1e-5)
         assert relative_error(dx, fd_x) < 1e-5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 5),
+        f=st.integers(1, 5),
+        k=st.sampled_from([3, 5, 7]),
+        stride=st.sampled_from([1, 2]),
+        # H, W in [k, k + 6]: H = k, and odd extents whose stride-2 phases differ in length
+        extra_h=st.integers(0, 6),
+        extra_w=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dx_is_the_adjoint_of_the_forward(self, n, c, f, k, stride, extra_h, extra_w, seed):
+        # <conv(x), dy> = <x, dx> for every x and dy: dx is the transposed convolution
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, k + extra_h, k + extra_w))
+        w = rng.standard_normal((f, c, k, k))
+        y = T.conv2d_forward(x, w, stride)
+        dy = rng.standard_normal(y.shape)
+        dx, _ = T.conv2d_backward(dy, x, w, stride)
+        assert dx.shape == x.shape
+        lhs, rhs = float(np.vdot(y, dy)), float(np.vdot(x, dx))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 class TestConvColsContract:
