@@ -31,6 +31,7 @@ from .supernet import (
     SubNetwork,
     SuperNetwork,
     choice_from_rows,
+    first_growing_layer,
     sample_width_assignments,
 )
 
@@ -381,14 +382,27 @@ def write_trajectory(path: str | Path, supernet: SuperNetwork, trajectory: Seque
 
 
 def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[SubNetChoice]:
-    """Parse a trajectory file back into validated per-layer choices."""
+    """Parse a trajectory file back into validated per-layer choices.
+
+    Each entry must weakly shrink every layer of the entry before it, as a
+    search writes them; replay walks the entries in that order.
+    """
     raw = read_json(path, "trajectory")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"trajectory {path}: must be a non-empty list of architectures")
-    return [
+    choices = [
         choice_from_rows(rows, supernet.specs, f"trajectory {path} entry {e}")
         for e, rows in enumerate(raw)
     ]
+    for e, (before, after) in enumerate(zip(choices, choices[1:]), start=1):
+        i = first_growing_layer(before, after)
+        if i is not None:
+            (m0, k0), (m1, k1) = before.pairs[i], after.pairs[i]
+            raise ParseError(
+                f"trajectory {path} entry {e}: layer {supernet.specs[i].index}: "
+                f"({m1},{k1}) does not shrink entry {e - 1}'s ({m0},{k0})"
+            )
+    return choices
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +458,8 @@ def train_supernetwork(
         widths = np.column_stack(
             [sample_width_assignments(len(x), s.width_grid, rng) for s in specs]
         )
-        kernels = [int(rng.choice(s.kernel_grid)) for s in specs]
+        # draws what rng.choice(grid) draws, without its argument handling
+        kernels = [s.kernel_grid[rng.integers(len(s.kernel_grid))] for s in specs]
         return supernet.forward_train(x, widths, kernels)
 
     history = []

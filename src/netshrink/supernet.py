@@ -60,9 +60,9 @@ def bypass_channel_map(c: int, t: int, m: int) -> list[ChannelSource]:
 def ordered_dropout_mask(widths, total: int, dtype=np.float32) -> np.ndarray:
     """Per-image prefix masks [N, total]: row n keeps the first widths[n] channels."""
     widths = np.asarray(widths)
-    if widths.ndim != 1 or np.any((widths < 0) | (widths > total)):
+    if widths.ndim != 1 or (widths.size and (widths.min() < 0 or widths.max() > total)):
         raise GridError(f"widths must be a vector in [0, {total}], got {widths}")
-    return (np.arange(total)[None, :] < widths[:, None]).astype(dtype)
+    return (np.arange(total)[None, :] < widths[:, None]).astype(dtype, copy=False)
 
 
 def sample_width_assignments(n: int, width_grid: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -210,6 +210,17 @@ class SubNetChoice:
         return tuple((m, k if m > 0 else 0) for m, k in self.pairs)
 
 
+def first_growing_layer(before: SubNetChoice, after: SubNetChoice) -> int | None:
+    """Index of the first layer `after` does not weakly shrink from `before`, else None.
+
+    A layer shrinks weakly when M does not grow and, while M > 0, k does not grow.
+    """
+    for i, ((m0, k0), (m1, k1)) in enumerate(zip(before.pairs, after.pairs)):
+        if m1 > m0 or (m1 > 0 and k1 > k0):
+            return i
+    return None
+
+
 def full_width_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
     return SubNetChoice(tuple((s.t, s.k_max) for s in specs))
 
@@ -276,16 +287,18 @@ def sliced_layer(
 
 def _conv_backward(
     spec: LayerSpec, weight: T.Parameter, bias: T.Parameter, k: int, da: np.ndarray,
-    cache: dict, need_dx: bool,
+    gate: np.ndarray, cache: dict, need_dx: bool,
 ) -> np.ndarray | None:
     """Backward of `sliced_layer`'s conv on the first da.shape[1] filters and k x k taps.
 
-    `da` is the ReLU output's gradient; `cache` holds the layer's "x", "y" and
+    `da` is the layer output's gradient on those filters and `gate` the bool
+    array that lets it through to the pre-activation: ``y > 0``, and under
+    ordered dropout also the kept channels.  `cache` holds the layer's "x" and
     "cols".  dW accumulates into the `prefix_slice` view of ``weight.grad``,
     super-network or sub-network.  Returns dx, or None when `need_dx` is False.
     """
     x, m = cache["x"], da.shape[1]
-    dy = da * (cache["y"] > 0)
+    dy = da * gate
     w = prefix_slice(weight.value, m, x.shape[1], k)
     dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
     grad = prefix_slice(weight.grad, m, x.shape[1], k)
@@ -418,7 +431,10 @@ class SuperNetwork(_Network):
         """Layer `index` with per-image widths [N] and kernel k; returns (out, cache).
 
         The full-width sliced layer on the centered k x k window, under the
-        ordered-dropout mask plus, for stride-1 layers, its bypass complement.
+        bool ordered-dropout mask `keep` plus, for stride-1 layers, the inputs
+        it drops routed through.  Multiplying by a bool is multiplying by 1.0
+        or 0.0, so this is exactly ``relu(y)*mask + x*(1 - mask)``.  The cache
+        holds ``keep & (y > 0)``, the one gate the backward multiplies by.
         """
         spec = self.specs[index]
         if x.shape[1] != spec.c:
@@ -428,28 +444,32 @@ class SuperNetwork(_Network):
             )
         cols = T.im2col(x, k, spec.stride)
         weight = prefix_slice(self.weights[index].value, spec.t, spec.c, k)
-        a, y = sliced_layer(spec, x, spec.t, weight, self.biases[index].value, cols)
-        mask = ordered_dropout_mask(widths, spec.t, x.dtype)
-        out = a * mask[:, :, None, None]
-        comp = None
+        out, y = sliced_layer(spec, x, spec.t, weight, self.biases[index].value, cols)
+        mask = ordered_dropout_mask(widths, spec.t, dtype=bool)
+        keep = mask[:, :, None, None]
+        out *= keep  # at full width `out` is relu(y), a fresh array
+        dropped = None
         if spec.bypass_enabled:
             mct = spec.min_ct
-            comp = 1 - mask[:, :mct]  # exact for 0/1 floats
-            out[:, :mct] += x[:, :mct] * comp[:, :, None, None]
-        cache = {"index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask, "comp": comp}
+            dropped = ~keep[:, :mct]
+            out[:, :mct] += x[:, :mct] * dropped
+        cache = {
+            "index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask,
+            "gate": keep & (y > 0), "dropped": dropped,
+        }
         return out, cache
 
     def _layer_backward(self, dout: np.ndarray, cache: dict) -> np.ndarray | None:
         """Accumulate layer gradients; returns dx, or None for layer 0 (nothing consumes it)."""
         index = cache["index"]
         spec = self.specs[index]
-        da = dout * cache["mask"][:, :, None, None]
         dx = _conv_backward(
-            spec, self.weights[index], self.biases[index], cache["k"], da, cache, index > 0
+            spec, self.weights[index], self.biases[index], cache["k"], dout, cache["gate"],
+            cache, index > 0,
         )
         if dx is not None and spec.bypass_enabled:
             mct = spec.min_ct
-            dx[:, :mct] += dout[:, :mct] * cache["comp"][:, :, None, None]
+            dx[:, :mct] += dout[:, :mct] * cache["dropped"]
         return dx
 
     def forward_train(self, x: np.ndarray, widths: np.ndarray, kernels: Sequence[int]) -> np.ndarray:
@@ -676,7 +696,8 @@ class SubNetwork(_Network):
         dx = None
         if layer.m > 0:
             dx = _conv_backward(
-                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m], lc, need_dx
+                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m], lc["y"] > 0, lc,
+                need_dx,
             )
         if not need_dx:
             return None
@@ -693,11 +714,10 @@ class SubNetwork(_Network):
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""
         check_choice(self.specs, choice)
-        for spec, (m0, k0), (m1, k1) in zip(self.specs, self.choice.pairs, choice.pairs):
-            if m1 > m0 or (m1 > 0 and k1 > k0):
-                raise GridError(
-                    f"layer {spec.index}: ({m1},{k1}) does not shrink ({m0},{k0})"
-                )
+        i = first_growing_layer(self.choice, choice)
+        if i is not None:
+            (m0, k0), (m1, k1) = self.choice.pairs[i], choice.pairs[i]
+            raise GridError(f"layer {self.specs[i].index}: ({m1},{k1}) does not shrink ({m0},{k0})")
         kept = {l.spec.index: (l.weight.value, l.bias.value) for l in self.layers if l.m > 0}
         return _build_subnetwork(
             self.specs, choice,

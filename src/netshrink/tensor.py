@@ -10,7 +10,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParseError, ShapeError, read_json, write_atomic
 
@@ -47,6 +46,12 @@ def _require(cond: bool, message: str) -> None:
 
 def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
     """Validate a same-padding conv of x by w; return the output extents (H_out, W_out)."""
+    # runs on every training call: a passing input formats no message
+    if x.ndim == 4 and w.ndim == 4:
+        _, c, h, wd = x.shape
+        _, wc, kh, kw = w.shape
+        if kh == kw and kh % 2 == 1 and wc == c and stride >= 1 and h >= kh and wd >= kw:
+            return -(-h // stride), -(-wd // stride)
     _require(x.ndim == 4, f"conv input must be 4-D NCHW, got rank {x.ndim}")
     _require(w.ndim == 4, f"conv weights must be 4-D [F,C,k,k], got rank {w.ndim}")
     _, c, h, wd = x.shape
@@ -81,14 +86,18 @@ def _taps(xp: np.ndarray, k: int, stride: int, h_out: int, wq: int) -> np.ndarra
     """
     n, c, _, _ = xp.shape
     sn, sc, sh, sw = xp.strides
-    return as_strided(
-        xp, (c, k, k, n, h_out, wq), (sc, sh, sw, sn, stride * sh, stride * sw)
+    # np.ndarray over xp's buffer checks the strides stay in bounds, at a
+    # fifth of as_strided's Python-level cost
+    return np.ndarray(
+        (c, k, k, n, h_out, wq), xp.dtype, xp, 0, (sc, sh, sw, sn, stride * sh, stride * sw)
     )
 
 
 def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, wq: int) -> None:
     n, c = x.shape[:2]
     want = (c * k * k, n * h_out * wq)
+    if cols.shape == want:
+        return
     _require(cols.ndim == 2, f"cols must be 2-D [C*k*k, N*H_out*Wq], got rank {cols.ndim}")
     for axis, (got, expect) in enumerate(zip(cols.shape, want)):
         _require(
@@ -154,26 +163,19 @@ def conv2d_backward(
     h_out, w_out = _conv_shapes(x, w, stride)
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
-    _require(dy.ndim == 4, f"conv output gradient must be 4-D NCHW, got rank {dy.ndim}")
-    for axis, (got, expect) in enumerate(zip(dy.shape, (n, f, h_out, w_out))):
-        _require(
-            got == expect,
-            f"dy axis {axis} has {got}, the forward output of input {x.shape} "
-            f"and weights {w.shape} at stride {stride} has {expect}",
-        )
+    if dy.shape != (n, f, h_out, w_out):
+        _require(dy.ndim == 4, f"conv output gradient must be 4-D NCHW, got rank {dy.ndim}")
+        for axis, (got, expect) in enumerate(zip(dy.shape, (n, f, h_out, w_out))):
+            _require(
+                got == expect,
+                f"dy axis {axis} has {got}, the forward output of input {x.shape} "
+                f"and weights {w.shape} at stride {stride} has {expect}",
+            )
     wq = _row_width(wd, k, stride)
     if cols is None:
         cols = im2col(x, k, stride)
     else:
         _require_cols(cols, x, k, h_out, wq)
-    # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
-    dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
-    dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
-    dyq = dyq.reshape(f, -1)
-    # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
-    dw = (cols @ dyq.T).T.reshape(w.shape)
-    if not need_dx:
-        return None, dw
     # dx is the transposed convolution of dy (arXiv 1603.07285) split into
     # stride**2 sub-pixel phases (arXiv 1609.05158).  Per axis, dx[s*p + r] =
     # sum over e of dy[p + e] * w[r + pad - s*e]: each phase r is a stride-1
@@ -183,15 +185,33 @@ def conv2d_backward(
     s, pad = stride, (k - 1) // 2
     lo = -(pad // s)
     d = (s - 1 + pad) // s - lo + 1
-    a = s - 1 - pad % s
-    wz = np.zeros((f, c, s * d, s * d), dtype=w.dtype)
-    wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
-    wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
-    wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
     wp = w_out + d - 1
-    dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
-    dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
-    dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f * d * d, -1)
+    if need_dx:
+        dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
+        dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
+        dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f, d * d, -1)
+    if need_dx and s == 1:
+        # d == k and Wp == Wq: dy's taps are its im2col, and the centre tap is
+        # dy on the columns' grid, zero in the cropped columns
+        dyq = dycols[:, d * d // 2]
+    else:
+        # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
+        dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
+        dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
+        dyq = dyq.reshape(f, -1)
+    # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
+    dw = (cols @ dyq.T).T.reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    if s == 1:  # one phase: the flipped kernel itself (d == k, a == 0)
+        wph = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
+    else:
+        a = s - 1 - pad % s
+        wz = np.zeros((f, c, s * d, s * d), dtype=w.dtype)
+        wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
+        wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
+        wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
+    dycols = dycols.reshape(f * d * d, -1)
     phases = (wph @ dycols).reshape(s, s, c, n, h_out, wp)
     # interleave the phases into NCHW; at odd extents the last phases run one short
     dx = np.empty(x.shape, dtype=x.dtype)
@@ -233,7 +253,9 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 def global_avg_pool_backward(dy: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
     n, c, h, w = input_shape
-    return np.broadcast_to((dy / (h * w))[:, :, None, None], input_shape).copy()
+    dx = np.empty(input_shape, dtype=dy.dtype)
+    dx[...] = (dy / (h * w))[:, :, None, None]
+    return dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -257,7 +279,7 @@ def softmax_cross_entropy(
     probs = softmax(logits)
     picked = probs[np.arange(n), labels]
     loss = float(-np.log(np.maximum(picked, np.finfo(probs.dtype).tiny)).mean())
-    dlogits = probs.copy()
+    dlogits = probs  # nothing reads probs after this
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     return loss, dlogits
@@ -268,7 +290,11 @@ def sgd_step(params: list[Parameter], lr: float, weight_decay: float = 0.0) -> N
     if lr <= 0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     for p in params:
-        p.value -= lr * (p.grad + weight_decay * p.value)
+        # the same float operations as lr * (grad + weight_decay * value), one temporary
+        step = weight_decay * p.value
+        step += p.grad
+        step *= lr
+        p.value -= step
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:

@@ -557,6 +557,40 @@ class TestTraining:
         acc = net.evaluate(test.images, test.labels, net.full_choice())
         assert acc >= 0.9
 
+    def test_one_step_calls_each_traced_kernel_once_per_layer(self, monkeypatch):
+        # the benchmark's tracer wraps these module attributes; a training step that
+        # reached the kernels another way would leave its per-layer metrics blind
+        calls = {}
+        for name in ("conv2d_forward", "conv2d_backward", "sgd_step"):
+            def counting(*args, _kernel=getattr(T, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(T, name, counting)
+        specs = small_specs()
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(17))
+        train, _, _ = self.separable_data(seed=14)
+        one_step = {"conv2d_forward": len(specs), "conv2d_backward": len(specs), "sgd_step": 1}
+        train_supernetwork(
+            net, train, epochs=1, rng=np.random.default_rng(4), batch_size=len(train)
+        )
+        assert calls == one_step
+        calls.clear()
+        sub = net.extract(net.full_choice())
+        train_subnetwork(sub, train, epochs=1, rng=np.random.default_rng(5), batch_size=len(train))
+        assert calls == one_step
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_kernel_draw_is_the_rng_choice_stream(self, size):
+        # train_supernetwork draws each layer's kernel as grid[rng.integers(len(grid))];
+        # it must draw what rng.choice(grid) draws, or seeded artifacts would move
+        grid = tuple(range(3, 3 + 2 * size, 2))
+        a, b = np.random.default_rng(size), np.random.default_rng(size)
+        assert [int(a.choice(grid)) for _ in range(2000)] == [
+            grid[b.integers(len(grid))] for _ in range(2000)
+        ]
+        assert a.random() == b.random()
+
     def test_same_seed_same_weights(self):
         results = []
         for _ in range(2):

@@ -523,6 +523,82 @@ class TestGradients:
         assert normalized_max_error(both, solo) < 1e-5
 
 
+def plain_training_step(net, x, widths, kernels, labels):
+    """One super-network forward and backward written with the plain masked formulas.
+
+    Forward: ``relu(y)*mask + x*(1 - mask)`` on the first min(C, T) channels of
+    a stride-1 layer, with a float 0/1 mask.  Backward: ``(dout*mask)*(y > 0)``
+    into ``conv2d_backward``, plus the bypass term ``dout*(1 - mask)``.
+    Returns (per-layer outputs, logits, gradients by parameter name).
+    """
+    grads = {p.name: np.zeros_like(p.value) for p in net.parameters()}
+    outs, saved, out = [], [], x
+    for spec, k in zip(net.specs, kernels):
+        xin, mct = out, min(spec.c, spec.t)
+        cols = T.im2col(xin, k, spec.stride)
+        w = prefix_slice(net.weights[spec.index].value, spec.t, spec.c, k)
+        y = T.conv2d_forward(xin, w, spec.stride, cols=cols)
+        y = y + net.biases[spec.index].value[None, :, None, None]
+        mask = (np.arange(spec.t) < widths[:, spec.index, None]).astype(xin.dtype)
+        mask = mask[:, :, None, None]
+        out = T.relu(y) * mask
+        if spec.stride == 1:
+            out[:, :mct] += xin[:, :mct] * (1 - mask[:, :mct])
+        outs.append(out)
+        saved.append((spec, k, xin, cols, w, y, mask, mct))
+    feat = T.global_avg_pool(out)
+    logits = T.dense_forward(feat, net.head_w.value) + net.head_b.value
+    _, dlogits = T.softmax_cross_entropy(logits, labels)
+    dfeat, dw = T.dense_backward(dlogits, feat, net.head_w.value)
+    grads["head.weight"] += dw
+    grads["head.bias"] += dlogits.sum(axis=0)
+    dout = T.global_avg_pool_backward(dfeat, out.shape)
+    for spec, k, xin, cols, w, y, mask, mct in reversed(saved):
+        dy = (dout * mask) * (y > 0)
+        dx, dw = T.conv2d_backward(dy, xin, w, spec.stride, cols=cols, need_dx=spec.index > 0)
+        gw = prefix_slice(grads[f"layer{spec.index}.weight"], spec.t, spec.c, k)
+        gw += dw
+        grads[f"layer{spec.index}.bias"] += dy.sum(axis=(0, 2, 3))
+        if dx is not None and spec.stride == 1:
+            dx[:, :mct] += dout[:, :mct] * (1 - mask[:, :mct])
+        dout = dx
+    return outs, logits, grads
+
+
+class TestTrainingLayerIsExact:
+    """The training layer's bool mask and fused gate change no bit of the plain formulas."""
+
+    @pytest.mark.parametrize("kernels", [(3, 3, 3), (5, 3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_equal_to_the_plain_masked_formulas(self, seed, kernels):
+        # T > C at every layer; stride 1, 2, 1; widths 0 and T share a batch
+        specs = [
+            LayerSpec(index=0, c=3, t=5, k_max=5, stride=1),
+            LayerSpec(index=1, c=5, t=8, k_max=3, stride=2),
+            LayerSpec(index=2, c=8, t=10, k_max=3, stride=1),
+        ]
+        net = SuperNetwork(specs, (7, 7), 4, rng=np.random.default_rng(40 + seed))
+        rng = np.random.default_rng(50 + seed)
+        x = (rng.standard_normal((5, 3, 7, 7)) - 0.5).astype(np.float32)  # mostly negative
+        widths = np.array([[0, 1, 0], [5, 8, 10], [2, 4, 3], [5, 1, 0], [0, 8, 10]])
+        labels = rng.integers(0, 4, size=5)
+        outs, logits, grads = plain_training_step(net, x, widths, kernels, labels)
+
+        net.zero_grad()
+        got = net.forward_train(x, widths, kernels)
+        layer_outputs = [lc["x"] for lc in net._cache["caches"][1:]]
+        for li, (a, b) in enumerate(zip(layer_outputs, outs)):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes(), f"layer {li} output"
+        assert got.tobytes() == logits.tobytes()
+        net.backward(T.softmax_cross_entropy(got, labels)[1])
+        for p in net.parameters():
+            assert p.grad.tobytes() == grads[p.name].tobytes(), p.name
+        # the case covers what it claims: bypassed negatives and both extreme widths
+        assert np.any(outs[0][widths[:, 0] == 0] < 0)
+        assert {0, 10} <= set(widths[:, 2]) and {1, 8} <= set(widths[:, 1])
+
+
 class TestSubNetworkTraining:
     def test_extracted_network_gradients_match_finite_differences(self):
         specs = [

@@ -200,6 +200,49 @@ class TestConvColsContract:
         with pytest.raises(ShapeError, match=match):
             T.conv2d_backward(dy_b, x_b, w_b, 2, cols=cols_b)
 
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (lambda x, w, cols: (x[0], w, 2, cols), r"conv input must be 4-D NCHW, got rank 3"),
+            (
+                lambda x, w, cols: (x, w[0], 2, cols),
+                r"conv weights must be 4-D \[F,C,k,k\], got rank 3",
+            ),
+            (
+                lambda x, w, cols: (x, w[..., :1], 2, cols),
+                r"kernel must be square, got 3x1 on axes \(2,3\)",
+            ),
+            (lambda x, w, cols: (x, w, 0, cols), r"stride must be >= 1, got 0"),
+            (
+                lambda x, w, cols: (x[:, :, :2], w, 2, cols),
+                r"spatial extents \(2x6\) must be >= kernel \(3\) on axes \(2,3\)",
+            ),
+            (
+                lambda x, w, cols: (x, w, 2, cols[0]),
+                r"cols must be 2-D \[C\*k\*k, N\*H_out\*Wq\], got rank 1",
+            ),
+            (
+                lambda x, w, cols: (x, w, 2, cols[:2]),
+                r"cols axis 0 has 2, im2col of input \(3, 4, 8, 6\) with k=3 needs 36",
+            ),
+            (
+                lambda x, w, cols: (x, w, 2, cols[:, :5]),
+                r"cols axis 1 has 5, im2col of input \(3, 4, 8, 6\) with k=3 needs 36",
+            ),
+        ],
+        ids=[
+            "x-rank-3", "w-rank-3", "non-square", "stride-0", "below-kernel",
+            "cols-rank-1", "cols-axis-0", "cols-axis-1",
+        ],
+    )
+    def test_forward_shape_checks_give_their_message(self, bad, match):
+        # with test_channel_mismatch_names_axis and test_even_kernel_rejected, every
+        # branch of the checks, so a fast path that skips one fails here
+        x, w, _ = self._case(2, 3)
+        x_b, w_b, stride, cols_b = bad(x, w, T.im2col(x, 3, 2))
+        with pytest.raises(ShapeError, match=match):
+            T.conv2d_forward(x_b, w_b, stride, cols=cols_b)
+
     def test_forward_rejects_cols_of_another_kernel(self):
         x, w, _ = self._case(1, 3)
         with pytest.raises(ShapeError, match="cols axis 0"):
