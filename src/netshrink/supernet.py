@@ -286,19 +286,16 @@ def sliced_layer(
 
 
 def _conv_backward(
-    spec: LayerSpec, weight: T.Parameter, bias: T.Parameter, k: int, da: np.ndarray,
-    gate: np.ndarray, cache: dict, need_dx: bool,
+    spec: LayerSpec, weight: T.Parameter, bias: T.Parameter, k: int, dy: np.ndarray,
+    cache: dict, need_dx: bool,
 ) -> np.ndarray | None:
-    """Backward of `sliced_layer`'s conv on the first da.shape[1] filters and k x k taps.
+    """Backward of `sliced_layer`'s conv on the first dy.shape[1] filters and k x k taps.
 
-    `da` is the layer output's gradient on those filters and `gate` the bool
-    array that lets it through to the pre-activation: ``y > 0``, and under
-    ordered dropout also the kept channels.  `cache` holds the layer's "x" and
+    `dy` is the pre-activation's gradient; `cache` holds the layer's "x" and
     "cols".  dW accumulates into the `prefix_slice` view of ``weight.grad``,
     super-network or sub-network.  Returns dx, or None when `need_dx` is False.
     """
-    x, m = cache["x"], da.shape[1]
-    dy = da * gate
+    x, m = cache["x"], dy.shape[1]
     w = prefix_slice(weight.value, m, x.shape[1], k)
     dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
     grad = prefix_slice(weight.grad, m, x.shape[1], k)
@@ -464,7 +461,7 @@ class SuperNetwork(_Network):
         index = cache["index"]
         spec = self.specs[index]
         dx = _conv_backward(
-            spec, self.weights[index], self.biases[index], cache["k"], dout, cache["gate"],
+            spec, self.weights[index], self.biases[index], cache["k"], dout * cache["gate"],
             cache, index > 0,
         )
         if dx is not None and spec.bypass_enabled:
@@ -696,8 +693,8 @@ class SubNetwork(_Network):
         dx = None
         if layer.m > 0:
             dx = _conv_backward(
-                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m], lc["y"] > 0, lc,
-                need_dx,
+                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m] * (lc["y"] > 0),
+                lc, need_dx,
             )
         if not need_dx:
             return None

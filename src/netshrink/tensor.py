@@ -46,27 +46,25 @@ def _require(cond: bool, message: str) -> None:
 
 def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
     """Validate a same-padding conv of x by w; return the output extents (H_out, W_out)."""
-    # runs on every training call: a passing input formats no message
-    if x.ndim == 4 and w.ndim == 4:
-        _, c, h, wd = x.shape
-        _, wc, kh, kw = w.shape
-        if kh == kw and kh % 2 == 1 and wc == c and stride >= 1 and h >= kh and wd >= kw:
-            return -(-h // stride), -(-wd // stride)
-    _require(x.ndim == 4, f"conv input must be 4-D NCHW, got rank {x.ndim}")
-    _require(w.ndim == 4, f"conv weights must be 4-D [F,C,k,k], got rank {w.ndim}")
+    # runs on every training call, so a passing check formats no message
+    if x.ndim != 4:
+        raise ShapeError(f"conv input must be 4-D NCHW, got rank {x.ndim}")
+    if w.ndim != 4:
+        raise ShapeError(f"conv weights must be 4-D [F,C,k,k], got rank {w.ndim}")
     _, c, h, wd = x.shape
     _, wc, kh, kw = w.shape
-    _require(kh == kw, f"kernel must be square, got {kh}x{kw} on axes (2,3)")
-    _require(kh % 2 == 1, f"kernel size must be odd, got {kh}")
-    _require(
-        wc == c,
-        f"channel axis mismatch: input axis 1 has {c} channels, weight axis 1 expects {wc}",
-    )
-    _require(stride >= 1, f"stride must be >= 1, got {stride}")
-    _require(
-        h >= kh and wd >= kw,
-        f"spatial extents ({h}x{wd}) must be >= kernel ({kh}) on axes (2,3)",
-    )
+    if kh != kw:
+        raise ShapeError(f"kernel must be square, got {kh}x{kw} on axes (2,3)")
+    if kh % 2 != 1:
+        raise ShapeError(f"kernel size must be odd, got {kh}")
+    if wc != c:
+        raise ShapeError(
+            f"channel axis mismatch: input axis 1 has {c} channels, weight axis 1 expects {wc}"
+        )
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    if h < kh or wd < kw:
+        raise ShapeError(f"spatial extents ({h}x{wd}) must be >= kernel ({kh}) on axes (2,3)")
     return -(-h // stride), -(-wd // stride)
 
 
@@ -176,6 +174,14 @@ def conv2d_backward(
         cols = im2col(x, k, stride)
     else:
         _require_cols(cols, x, k, h_out, wq)
+    # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
+    dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
+    dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
+    dyq = dyq.reshape(f, -1)
+    # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
+    dw = (cols @ dyq.T).T.reshape(w.shape)
+    if not need_dx:
+        return None, dw
     # dx is the transposed convolution of dy (arXiv 1603.07285) split into
     # stride**2 sub-pixel phases (arXiv 1609.05158).  Per axis, dx[s*p + r] =
     # sum over e of dy[p + e] * w[r + pad - s*e]: each phase r is a stride-1
@@ -185,24 +191,6 @@ def conv2d_backward(
     s, pad = stride, (k - 1) // 2
     lo = -(pad // s)
     d = (s - 1 + pad) // s - lo + 1
-    wp = w_out + d - 1
-    if need_dx:
-        dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
-        dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
-        dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f, d * d, -1)
-    if need_dx and s == 1:
-        # d == k and Wp == Wq: dy's taps are its im2col, and the centre tap is
-        # dy on the columns' grid, zero in the cropped columns
-        dyq = dycols[:, d * d // 2]
-    else:
-        # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
-        dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
-        dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
-        dyq = dyq.reshape(f, -1)
-    # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
-    dw = (cols @ dyq.T).T.reshape(w.shape)
-    if not need_dx:
-        return None, dw
     if s == 1:  # one phase: the flipped kernel itself (d == k, a == 0)
         wph = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
     else:
@@ -211,7 +199,10 @@ def conv2d_backward(
         wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
         wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
         wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
-    dycols = dycols.reshape(f * d * d, -1)
+    wp = w_out + d - 1
+    dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
+    dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
+    dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f * d * d, -1)
     phases = (wph @ dycols).reshape(s, s, c, n, h_out, wp)
     # interleave the phases into NCHW; at odd extents the last phases run one short
     dx = np.empty(x.shape, dtype=x.dtype)

@@ -22,6 +22,10 @@ from netshrink.errors import ConfigError, NetshrinkError, ParseError
 from netshrink.supernet import SubNetChoice
 
 
+def conv_row(m: int, k: int) -> dict:
+    return {"kind": "conv", "M": m, "k": k}
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "seed": 3,
@@ -408,6 +412,20 @@ class TestTrainDiscoveredAndReport:
             ("--architecture", [[6, 3]], "row 0: must be an object"),
             ("--architecture", [{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
             ("--trajectory", {"kind": "conv"}, "must be a non-empty list"),
+            (
+                "--trajectory",
+                [[conv_row(4, 3), conv_row(6, 3)], [conv_row(6, 3), conv_row(6, 3)]],
+                "entry 1: layer 0: (6,3) does not shrink entry 0's (4,3)",
+            ),
+            (
+                "--trajectory",
+                [
+                    [conv_row(6, 3), conv_row(6, 3)],
+                    [conv_row(6, 3), conv_row(0, 3)],
+                    [conv_row(6, 3), conv_row(2, 3)],
+                ],
+                "entry 2: layer 1: (2,3) does not shrink entry 1's (0,3)",
+            ),
         ],
     )
     def test_malformed_architecture_input_fails_cleanly(
@@ -421,42 +439,6 @@ class TestTrainDiscoveredAndReport:
         assert code == 1
         err = capsys.readouterr().err
         assert str(bad) in err and field in err
-
-    @pytest.mark.parametrize(
-        "entries,message",
-        [
-            (
-                [[(4, 3), (6, 3)], [(6, 3), (6, 3)]],
-                "entry 1: layer 0: (6,3) does not shrink entry 0's (4,3)",
-            ),
-            (
-                [[(6, 5), (6, 3)], [(6, 5), (0, 3)], [(6, 5), (2, 3)]],
-                "entry 2: layer 1: (2,3) does not shrink entry 1's (0,3)",
-            ),
-            (
-                [[(6, 5), (6, 3)], [(6, 3), (4, 3)], [(6, 5), (4, 3)]],
-                "entry 2: layer 0: (6,5) does not shrink entry 1's (6,3)",
-            ),
-        ],
-        ids=["width-grows", "removed-layer-returns", "kernel-grows"],
-    )
-    def test_trajectory_that_does_not_shrink_names_the_entry(
-        self, tmp_path, capsys, entries, message
-    ):
-        layers = [
-            {"filters": 6, "kernel": 5, "stride": 1},
-            {"filters": 6, "kernel": 3, "stride": 1},
-        ]
-        cfg = write_config(tmp_path / "c.json", network={"layers": layers})
-        bad = tmp_path / "trajectory.json"
-        rows = [[{"kind": "conv", "M": m, "k": k} for m, k in entry] for entry in entries]
-        bad.write_text(json.dumps(rows))
-        out = str(tmp_path / "run")
-        code = main(
-            ["train-discovered", "--config", str(cfg), "--out", out, "--trajectory", str(bad)]
-        )
-        assert code == 1
-        assert f"trajectory {bad} {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--architecture", "--trajectory"])
     def test_malformed_input_fails_before_any_set_up(self, tmp_path, capsys, monkeypatch, flag):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +40,11 @@ def small_specs():
         LayerSpec(index=1, c=6, t=6, k_max=5, stride=1),
         LayerSpec(index=2, c=6, t=6, k_max=3, stride=1),
     ]
+
+
+def trajectory_text(*entries):
+    """A trajectory file's text with one row per (M, k) pair of each entry."""
+    return json.dumps([[{"kind": "conv", "M": m, "k": k} for m, k in e] for e in entries])
 
 
 def six_layer_specs():
@@ -481,8 +488,27 @@ class TestRunSearch:
             ),
             ("[[", "not valid JSON at offset 2"),
             ("[" * 100_000 + "]" * 100_000, "nests JSON arrays or objects too deeply"),
+            (
+                trajectory_text([(4, 3), (6, 5), (6, 3)], [(6, 3), (6, 5), (6, 3)]),
+                re.escape("entry 1: layer 0: (6,3) does not shrink entry 0's (4,3)"),
+            ),
+            (
+                trajectory_text(
+                    [(6, 3), (6, 5), (6, 3)], [(6, 3), (0, 3), (6, 3)], [(6, 3), (2, 3), (6, 3)]
+                ),
+                re.escape("entry 2: layer 1: (2,3) does not shrink entry 1's (0,3)"),
+            ),
+            (
+                trajectory_text(
+                    [(6, 3), (6, 5), (6, 3)], [(6, 3), (4, 3), (6, 3)], [(6, 3), (4, 5), (6, 3)]
+                ),
+                re.escape("entry 2: layer 1: (4,5) does not shrink entry 1's (4,3)"),
+            ),
         ],
-        ids=["object", "empty", "entry-object", "row-kind", "truncated", "deep"],
+        ids=[
+            "object", "empty", "entry-object", "row-kind", "truncated", "deep",
+            "width-grows", "removed-layer-returns", "kernel-grows",
+        ],
     )
     def test_malformed_trajectory_names_path_entry_and_field(self, tmp_path, payload, field):
         path = tmp_path / "trajectory.json"
