@@ -31,6 +31,7 @@ from .supernet import (
     SubNetwork,
     SuperNetwork,
     choice_from_rows,
+    first_changed_layer,
     first_growing_layer,
     sample_width_assignments,
 )
@@ -232,11 +233,42 @@ def generate_scd_samples(
 # evaluation and selection
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class HoldoutPrefix:
+    """The holdout input of every spec layer under `choice`, one array per layer.
+
+    A sample that first differs from `choice` at layer f computes the same
+    inputs below f, so it runs from f on ``inputs[f]``: the same operations
+    on the same arrays, hence the same bits as a run from layer 0.
+    """
+
+    choice: SubNetChoice
+    inputs: list[np.ndarray]
+
+    def start(self, choice: SubNetChoice) -> int:
+        return first_changed_layer(self.choice, choice)
+
+    def moved_to(self, supernet: SuperNetwork, choice: SubNetChoice) -> "HoldoutPrefix":
+        """The prefix under `choice`, recomputed from its first changed layer on."""
+        f = self.start(choice)
+        inputs = self.inputs[:f] + [None] * (len(self.inputs) - f)
+        supernet.forward_eval(self.inputs[f], choice, f, capture=inputs)
+        return HoldoutPrefix(choice, inputs)
+
+
 def evaluate_sample(
-    supernet: SuperNetwork, choice: SubNetChoice, holdout: Dataset
+    supernet: SuperNetwork, choice: SubNetChoice, holdout: Dataset,
+    prefix: HoldoutPrefix | None = None, capture: list | None = None,
 ) -> tuple[float, float]:
-    """Holdout (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
-    return supernet.score(holdout.images, holdout.labels, choice)
+    """Holdout (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only.
+
+    With `prefix`, runs only from the first layer where `choice` differs
+    from ``prefix.choice``.  `capture` receives the holdout input of each
+    layer that runs (see `SubNetwork.forward`).
+    """
+    start = 0 if prefix is None else prefix.start(choice)
+    x = holdout.images if start == 0 else prefix.inputs[start]
+    return supernet.score(x, holdout.labels, choice, start, capture)
 
 
 def select_best(records: Sequence[SampleRecord]) -> SampleRecord:
@@ -295,13 +327,20 @@ def run_search(
                 f"reduction, but reaching the target needs {needed:.6g}"
             )
 
-    best = SampleRecord(-1, 0, full, initial_resource, *evaluate_sample(supernet, full, holdout), chosen=1)
+    inputs = [None] * len(specs)
+    best = SampleRecord(
+        -1, 0, full, initial_resource, *evaluate_sample(supernet, full, holdout, capture=inputs),
+        chosen=1,
+    )
+    prefix = HoldoutPrefix(full, inputs)
     trajectory = [best]
     log_rows: list[SampleRecord] = []
     iteration = 0
     while best.resource > config.target_resource + _tol(config.target_resource):
         if iteration >= _MAX_ITERATIONS:
             raise FeasibilityError(f"no convergence after {iteration} iterations")
+        if prefix.choice != best.choice:
+            prefix = prefix.moved_to(supernet, best.choice)
         budget = iteration_budget(
             best.resource, initial_resource, config, iteration, min_resource
         )
@@ -323,8 +362,11 @@ def run_search(
         for j, key in enumerate(keys):
             first_id.setdefault(key, j)
         unique_ids = list(first_id.values())
+        # the threads share `prefix` read-only
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = pool.map(lambda j: evaluate_sample(supernet, choices[j], holdout), unique_ids)
+            scores = pool.map(
+                lambda j: evaluate_sample(supernet, choices[j], holdout, prefix), unique_ids
+            )
         # read after the pool has drained, so this thread does not wake once per sample
         score = dict(zip(unique_ids, scores))
         rows = [
@@ -340,8 +382,10 @@ def run_search(
         log_rows.extend(rows)
         trajectory.append(best)
         if progress is not None:
+            layers_run = sum(len(specs) - prefix.start(choices[j]) for j in unique_ids)
             progress(
                 f"iteration {iteration}: {len(first_id)}/{len(choices)} unique samples, "
+                f"layers run {layers_run}/{len(unique_ids) * len(specs)}, "
                 f"best resource {best.resource:.4g}, accuracy {best.holdout_accuracy:.4f}, "
                 f"loss {best.loss:.4f}"
             )

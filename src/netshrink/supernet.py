@@ -221,6 +221,16 @@ def first_growing_layer(before: SubNetChoice, after: SubNetChoice) -> int | None
     return None
 
 
+def first_changed_layer(before: SubNetChoice, after: SubNetChoice) -> int:
+    """Index of the first layer whose (M, k) differs between the choices, else their length.
+
+    Every layer below it receives the same input under both choices.
+    """
+    return next(
+        (i for i, (a, b) in enumerate(zip(before.pairs, after.pairs)) if a != b), len(before.pairs)
+    )
+
+
 def full_width_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
     return SubNetChoice(tuple((s.t, s.k_max) for s in specs))
 
@@ -353,15 +363,15 @@ class _Network:
 EVAL_BATCH_SIZE = 64
 
 
-def _score(forward: Callable[[np.ndarray], np.ndarray], images: np.ndarray,
-           labels: np.ndarray, batch_size: int) -> tuple[float, float]:
-    """Top-1 accuracy and mean cross-entropy of `forward`'s logits, one call per batch."""
-    hits, loss_sum = 0, 0.0
-    for lo in range(0, images.shape[0], batch_size):
-        logits, batch_labels = forward(images[lo : lo + batch_size]), labels[lo : lo + batch_size]
-        hits += int((logits.argmax(axis=1) == batch_labels).sum())
-        loss_sum += T.softmax_cross_entropy(logits, batch_labels)[0] * len(batch_labels)
-    return hits / images.shape[0], loss_sum / images.shape[0]
+def _score(logits: np.ndarray, labels: np.ndarray,
+           batch_size: int = EVAL_BATCH_SIZE) -> tuple[float, float]:
+    """Top-1 accuracy and mean cross-entropy of `logits`, the loss averaged per batch."""
+    n = len(labels)
+    loss_sum = 0.0
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        loss_sum += T.softmax_cross_entropy(logits[lo:hi], labels[lo:hi])[0] * (hi - lo)
+    return int((logits.argmax(axis=1) == labels).sum()) / n, loss_sum / n
 
 
 class SuperNetwork(_Network):
@@ -498,15 +508,21 @@ class SuperNetwork(_Network):
 
     # -- evaluation: the extracted sub-network ----------------------------------
 
-    def forward_eval(self, x: np.ndarray, choice: SubNetChoice) -> np.ndarray:
-        """Logits of the chosen sub-network: the forward of ``extract(choice)``."""
-        return self.extract(choice).forward(x)
+    def forward_eval(
+        self, x: np.ndarray, choice: SubNetChoice, start: int = 0, capture: list | None = None
+    ) -> np.ndarray:
+        """Logits of the chosen sub-network: ``extract(choice).predict(x, start, capture)``."""
+        return self.extract(choice).predict(x, start, capture)
 
     def score(
-        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice
+        self, x: np.ndarray, labels: np.ndarray, choice: SubNetChoice, start: int = 0,
+        capture: list | None = None,
     ) -> tuple[float, float]:
-        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
-        return _score(lambda x: self.forward_eval(x, choice), images, labels, EVAL_BATCH_SIZE)
+        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only.
+
+        `x` is the input of layer `start` (see `SubNetwork.forward`).
+        """
+        return _score(self.forward_eval(x, choice, start, capture), labels)
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
@@ -651,11 +667,26 @@ class SubNetwork(_Network):
                 ps += [l.weight, l.bias]
         return ps + [self.head_w, self.head_b]
 
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns."""
+    def forward(
+        self, x: np.ndarray, record: bool = False, start: int = 0, capture: list | None = None
+    ) -> np.ndarray:
+        """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns.
+
+        `x` is the input of spec layer `start`; the layers below it do not run.
+        `capture`, a list with one entry per spec layer, receives the input of
+        every spec layer from `start` on, including layers the network drops.
+        """
+        if record and start:
+            raise StateError("a recorded forward pass starts at layer 0")
+        layer_at = {layer.spec.index: layer for layer in self.layers}
         caches = []
         out = x
-        for layer in self.layers:
+        for i in range(start, len(self.specs)):
+            if capture is not None:
+                capture[i] = out
+            layer = layer_at.get(i)
+            if layer is None:
+                continue  # a dropped layer passes its input through
             if out.shape[1] != layer.z_in:
                 raise ShapeError(
                     f"layer {layer.spec.index}: expected {layer.z_in} input channels, "
@@ -705,8 +736,23 @@ class SubNetwork(_Network):
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
         return dx
 
+    def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
+        """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
+
+        `capture` receives each spec layer's input for all of `x`, one array per layer.
+        """
+        logits, inputs = [], []
+        for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
+            batch = None if capture is None else [None] * len(self.specs)
+            logits.append(self.forward(x[lo : lo + EVAL_BATCH_SIZE], start=start, capture=batch))
+            inputs.append(batch)
+        if capture is not None:
+            for i in range(start, len(self.specs)):
+                capture[i] = np.concatenate([batch[i] for batch in inputs])
+        return np.concatenate(logits)
+
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
-        return _score(self.forward, images, labels, EVAL_BATCH_SIZE)[0]
+        return _score(self.predict(images), labels)[0]
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""

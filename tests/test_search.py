@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from netshrink import search
 from netshrink import tensor as T
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
@@ -31,7 +32,9 @@ from netshrink.search import (
     trajectory_replay_finetune,
     write_trajectory,
 )
-from netshrink.supernet import LayerSpec, SubNetChoice, SuperNetwork, _score, full_width_choice
+from netshrink.supernet import (
+    LayerSpec, SubNetChoice, SuperNetwork, _score, first_changed_layer, full_width_choice,
+)
 
 
 def small_specs():
@@ -333,11 +336,9 @@ class TestEvaluation:
         holdout = tiny_holdout(seed=6)
         choice = SubNetChoice(((3, 3), (4, 5), (6, 3)))
 
-        def forward(x):
-            return net.forward_eval(x, choice)
-
-        accuracy, loss = _score(forward, holdout.images, holdout.labels, len(holdout))
-        batched = _score(forward, holdout.images, holdout.labels, 4)  # 4+4+4+3
+        logits = net.forward_eval(holdout.images, choice)
+        accuracy, loss = _score(logits, holdout.labels, len(holdout))
+        batched = _score(logits, holdout.labels, 4)  # 4+4+4+3
         assert batched[0] == accuracy
         assert batched[1] == pytest.approx(loss, rel=1e-6)
 
@@ -352,6 +353,79 @@ class TestEvaluation:
             assert accuracy == extracted.evaluate(holdout.images, holdout.labels)
             logits = extracted.forward(holdout.images)
             assert loss == pytest.approx(T.softmax_cross_entropy(logits, holdout.labels)[0], rel=1e-6)
+
+
+class TestPrefixReuse:
+    """Each sample runs from its first changed layer on the previous best's holdout inputs."""
+
+    def build(self, layers=3, seed=31):
+        specs = six_layer_specs()  # stride 2, bypass, and removable layers
+        net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(seed))
+        table = synthetic_latency_table(specs, (8, 8), seed=32)
+        holdout = tiny_holdout(seed=33, n_per_class=30, hw=8)  # 90 images: two batches
+        r0 = total_resource(net.full_choice(), table)
+        cfg = make_config(0.35 * r0, init_reduction=0.08, layers_per_sample=layers)
+        return net, table, holdout, cfg
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("optimizer,layers", [("mcd", 2), ("mcd", 3), ("scd", 1)])
+    def test_same_bytes_as_evaluating_every_sample_from_layer_0(
+        self, monkeypatch, optimizer, layers, jobs
+    ):
+        net, table, holdout, cfg = self.build(layers)
+
+        def artifacts():
+            result = run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs)
+            rows = [net.architecture_json(r.choice) for r in result.trajectory]
+            return search_log_csv(result.log_rows), search_log_csv(result.trajectory), rows
+
+        got = artifacts()
+        assert got[1].count("\n") >= 2 + 4  # header lines, the initial network, 3 iterations
+        full = search.evaluate_sample
+        monkeypatch.setattr(
+            search, "evaluate_sample",
+            lambda supernet, choice, holdout, prefix=None, capture=None:
+                full(supernet, choice, holdout, capture=capture),
+        )
+        assert got == artifacts()
+
+    def test_progress_counts_the_layer_forwards_each_iteration_ran(self):
+        net, table, holdout, cfg = self.build()
+        lines = []
+        result = run_search(net, table, cfg, holdout, progress=lines.append)
+        assert len(lines) == len(result.trajectory) - 1 >= 3
+        specs, skipped = len(net.specs), 0
+        for it, line in enumerate(lines):
+            best = result.trajectory[it].choice
+            unique = [r.choice for r in result.log_rows if r.iteration == it and r.duplicate_of is None]
+            run = sum(specs - first_changed_layer(best, choice) for choice in unique)
+            assert f"layers run {run}/{len(unique) * specs}," in line
+            skipped += len(unique) * specs - run
+        assert skipped > 0
+
+    def test_bench_trace_contract(self, monkeypatch):
+        # the benchmark's tracer wraps search.evaluate_sample, SuperNetwork.forward_eval
+        # and SuperNetwork.extract, and counts one evaluate_sample per unique sample
+        net, table, holdout, cfg = self.build()
+        calls, reached = [], set()
+
+        def spy(owner, name, record):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                record(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(search, "evaluate_sample", calls.append)
+        spy(SuperNetwork, "forward_eval", lambda args: reached.add("forward_eval"))
+        spy(SuperNetwork, "extract", lambda args: reached.add("extract"))
+        result = run_search(net, table, cfg, holdout, jobs=2)
+        unique = sum(r.duplicate_of is None for r in result.log_rows)
+        assert len(calls) == unique + 1
+        assert all(len(args) >= 3 and args[2] is holdout for args in calls)
+        assert reached == {"forward_eval", "extract"}
 
 
 class TestRunSearch:

@@ -708,6 +708,44 @@ class TestUnifiedPaths:
                 net.extract(choice).forward(x), net.forward_eval(x, choice), err_msg=str(choice)
             )
 
+    def test_forward_from_any_layer_on_captured_inputs_is_bitwise_equal(self):
+        specs = mixed_small_specs()
+        net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(22))
+        x = np.random.default_rng(23).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        dropped = 0
+        for choice in every_choice(specs):
+            sub = net.extract(choice)
+            inputs = [None] * len(specs)
+            want = sub.forward(x, capture=inputs)
+            assert inputs[0] is x
+            for i in range(len(specs)):
+                if i not in {l.spec.index for l in sub.layers}:  # dropped: input passes through
+                    dropped += 1
+                    nxt = inputs[i + 1] if i + 1 < len(specs) else None
+                    assert nxt is None or nxt is inputs[i]
+                tail = [None] * len(specs)
+                got = sub.forward(inputs[i], start=i, capture=tail)
+                assert got.tobytes() == want.tobytes(), (choice, i)
+                assert tail[:i] == [None] * i
+                assert tail[i] is inputs[i]
+                assert [a.tobytes() for a in tail[i:]] == [a.tobytes() for a in inputs[i:]]
+        assert dropped
+
+    def test_predict_captures_whole_inputs_across_batches(self):
+        specs = mixed_small_specs()
+        net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(24))
+        x = np.random.default_rng(25).standard_normal((70, 3, 8, 8)).astype(np.float32)
+        choice = SubNetChoice(((2, 3), (2, 3), (0, 3), (4, 3)))
+        inputs = [None] * len(specs)
+        want = net.forward_eval(x, choice, capture=inputs)
+        assert [a.shape[0] for a in inputs] == [70] * len(specs)
+        np.testing.assert_array_equal(inputs[0], x)
+        for start in range(len(specs)):
+            got = net.forward_eval(inputs[start], choice, start)
+            assert got.tobytes() == want.tobytes(), start
+        with pytest.raises(StateError, match="starts at layer 0"):
+            net.extract(choice).forward(inputs[1], record=True, start=1)
+
     def test_channel_flow_is_what_the_extracted_forward_produces(self):
         specs = [
             LayerSpec(index=0, c=3, t=6, k_max=3, width_grid=(0, 2, 6)),  # expands
