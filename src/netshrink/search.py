@@ -30,6 +30,7 @@ from .supernet import (
     SubNetChoice,
     SubNetwork,
     SuperNetwork,
+    _score,
     choice_from_rows,
     first_changed_layer,
     first_growing_layer,
@@ -245,12 +246,9 @@ class HoldoutPrefix:
     choice: SubNetChoice
     inputs: list[np.ndarray]
 
-    def start(self, choice: SubNetChoice) -> int:
-        return first_changed_layer(self.choice, choice)
-
     def moved_to(self, supernet: SuperNetwork, choice: SubNetChoice) -> "HoldoutPrefix":
         """The prefix under `choice`, recomputed from its first changed layer on."""
-        f = self.start(choice)
+        f = first_changed_layer(self.choice, choice)
         inputs = self.inputs[:f] + [None] * (len(self.inputs) - f)
         supernet.forward_eval(self.inputs[f], choice, f, capture=inputs)
         return HoldoutPrefix(choice, inputs)
@@ -266,9 +264,9 @@ def evaluate_sample(
     from ``prefix.choice``.  `capture` receives the holdout input of each
     layer that runs (see `SubNetwork.forward`).
     """
-    start = 0 if prefix is None else prefix.start(choice)
+    start = 0 if prefix is None else first_changed_layer(prefix.choice, choice)
     x = holdout.images if start == 0 else prefix.inputs[start]
-    return supernet.score(x, holdout.labels, choice, start, capture)
+    return _score(supernet.forward_eval(x, choice, start, capture), holdout.labels)
 
 
 def select_best(records: Sequence[SampleRecord]) -> SampleRecord:
@@ -382,7 +380,9 @@ def run_search(
         log_rows.extend(rows)
         trajectory.append(best)
         if progress is not None:
-            layers_run = sum(len(specs) - prefix.start(choices[j]) for j in unique_ids)
+            layers_run = sum(
+                len(specs) - first_changed_layer(prefix.choice, choices[j]) for j in unique_ids
+            )
             progress(
                 f"iteration {iteration}: {len(first_id)}/{len(choices)} unique samples, "
                 f"layers run {layers_run}/{len(unique_ids) * len(specs)}, "

@@ -515,14 +515,10 @@ class SuperNetwork(_Network):
         return self.extract(choice).predict(x, start, capture)
 
     def score(
-        self, x: np.ndarray, labels: np.ndarray, choice: SubNetChoice, start: int = 0,
-        capture: list | None = None,
+        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice
     ) -> tuple[float, float]:
-        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only.
-
-        `x` is the input of layer `start` (see `SubNetwork.forward`).
-        """
-        return _score(self.forward_eval(x, choice, start, capture), labels)
+        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
+        return _score(self.forward_eval(images, choice), labels)
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
@@ -739,7 +735,8 @@ class SubNetwork(_Network):
     def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
         """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
 
-        `capture` receives each spec layer's input for all of `x`, one array per layer.
+        `capture` receives each spec layer's input for all of `x`, one array per
+        layer; layer `start`'s is `x` itself.
         """
         logits, inputs = [], []
         for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
@@ -747,7 +744,8 @@ class SubNetwork(_Network):
             logits.append(self.forward(x[lo : lo + EVAL_BATCH_SIZE], start=start, capture=batch))
             inputs.append(batch)
         if capture is not None:
-            for i in range(start, len(self.specs)):
+            capture[start] = x
+            for i in range(start + 1, len(self.specs)):
                 capture[i] = np.concatenate([batch[i] for batch in inputs])
         return np.concatenate(logits)
 

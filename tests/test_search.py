@@ -336,9 +336,12 @@ class TestEvaluation:
         holdout = tiny_holdout(seed=6)
         choice = SubNetChoice(((3, 3), (4, 5), (6, 3)))
 
-        logits = net.forward_eval(holdout.images, choice)
-        accuracy, loss = _score(logits, holdout.labels, len(holdout))
-        batched = _score(logits, holdout.labels, 4)  # 4+4+4+3
+        one = net.forward_eval(holdout.images, choice)
+        four = np.concatenate(  # 4+4+4+3
+            [net.forward_eval(holdout.images[lo : lo + 4], choice) for lo in range(0, 15, 4)]
+        )
+        accuracy, loss = _score(one, holdout.labels, len(holdout))
+        batched = _score(four, holdout.labels, 4)
         assert batched[0] == accuracy
         assert batched[1] == pytest.approx(loss, rel=1e-6)
 
