@@ -6,7 +6,6 @@ preserve the dtype they are given so tests can run the same math in float64.
 """
 from __future__ import annotations
 
-import functools
 import json
 from pathlib import Path
 
@@ -145,23 +144,6 @@ def conv2d_forward(
     return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
-@functools.lru_cache(maxsize=64)
-def _phase_index(f: int, c: int, k: int, s: int, d: int) -> np.ndarray:
-    """Gather indices of dx's phase weights [s*s*C, F*d*d] at stride s > 1.
-
-    They index ``w.ravel()`` followed by one zero, at ``f*c*k*k``: the
-    flipped kernel, zero-padded by `a` in front to s*d taps per axis, of
-    which phase (r, t) takes every s-th tap from s - 1 - r on the rows and
-    s - 1 - t on the columns (see `conv2d_backward`).
-    """
-    size = f * c * k * k
-    a = s - 1 - (k - 1) // 2 % s
-    wz = np.full((f, c, s * d, s * d), size)
-    wz[:, :, a : a + k, a : a + k] = np.arange(size).reshape(f, c, k, k)[:, :, ::-1, ::-1]
-    wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
-    return wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
-
-
 def conv2d_backward(
     dy: np.ndarray,
     x: np.ndarray,
@@ -211,8 +193,12 @@ def conv2d_backward(
     d = (s - 1 + pad) // s - lo + 1
     if s == 1:  # one phase: the flipped kernel itself (d == k, a == 0)
         wph = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
-    else:  # one gather from w's elements and a zero
-        wph = np.concatenate((w.ravel(), np.zeros(1, w.dtype))).take(_phase_index(f, c, k, s, d))
+    else:
+        a = s - 1 - pad % s
+        wz = np.zeros((f, c, s * d, s * d), dtype=w.dtype)
+        wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
+        wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
+        wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
     wp = w_out + d - 1
     dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
     dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy

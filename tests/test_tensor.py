@@ -161,21 +161,6 @@ class TestConvColsContract:
         np.testing.assert_array_equal(dx_c, dx)
         np.testing.assert_array_equal(dw_c, dw)
 
-    @pytest.mark.parametrize("k", [3, 5, 7])
-    @pytest.mark.parametrize("stride", [2, 3])
-    def test_phase_weight_gather_equals_the_zero_buffer_construction(self, stride, k):
-        w = np.random.default_rng(k).standard_normal((5, 4, k, k)).astype(np.float32)
-        f, c, s, pad = 5, 4, stride, (k - 1) // 2
-        d = (s - 1 + pad) // s + pad // s + 1
-        a = s - 1 - pad % s
-        wz = np.zeros((f, c, s * d, s * d), dtype=w.dtype)
-        wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
-        want = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
-        want = want.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
-        got = np.concatenate((w.ravel(), np.zeros(1, w.dtype))).take(T._phase_index(f, c, k, s, d))
-        assert got.dtype == w.dtype
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
     @pytest.mark.parametrize("stride", [1, 2])
     def test_need_dx_false_returns_none_and_the_same_dw(self, stride):
         x, w, dy = self._case(stride, 3)
