@@ -67,6 +67,15 @@ def synth_classification(
     return Dataset(images.astype(np.float32), labels.astype(np.int64), classes)
 
 
+def _class_ids(labels: np.ndarray) -> np.ndarray:
+    """The sorted ids of the classes present in `labels`.
+
+    These are np.unique's, without the numpy.ma import that its first call
+    costs every process.
+    """
+    return np.flatnonzero(np.bincount(labels))
+
+
 def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive, label-stratified split into (rest, holdout).
 
@@ -80,7 +89,7 @@ def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset
     if target == 0 or target == n:
         raise ValueError(f"fraction {holdout_fraction} yields an empty split for {n} items")
     rng = np.random.default_rng(seed)
-    class_ids = np.unique(dataset.labels)
+    class_ids = _class_ids(dataset.labels)
     quotas = {}
     remainders = []
     for c in class_ids:

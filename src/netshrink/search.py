@@ -14,6 +14,7 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -171,10 +172,8 @@ def generate_mcd_sample(
     forcing minimum grid values one layer at a time (largest cut first).
     """
     budget = total_resource(best_prev, model) - required_reduction
-    shrinkable = [
-        i for i, (spec, pair) in enumerate(zip(specs, best_prev.pairs))
-        if shrink_options(spec, *pair)
-    ]
+    options = [shrink_options(spec, *pair) for spec, pair in zip(specs, best_prev.pairs)]
+    shrinkable = [i for i, layer_options in enumerate(options) if layer_options]
     if not shrinkable:
         raise FeasibilityError("no layer can shrink any further", attempts=0)
     l_eff = min(l_layers, len(shrinkable))
@@ -183,8 +182,7 @@ def generate_mcd_sample(
         candidate = best_prev
         for si in sorted(picked):
             i = shrinkable[si]
-            options = shrink_options(specs[i], *best_prev.pairs[i])
-            candidate = candidate.replace(i, *options[rng.integers(len(options))])
+            candidate = candidate.replace(i, *options[i][rng.integers(len(options[i]))])
         if total_resource(candidate, model) <= budget + _tol(budget):
             return candidate
     by_cut = sorted(
@@ -236,11 +234,13 @@ def generate_scd_samples(
 
 @dataclass(frozen=True)
 class HoldoutPrefix:
-    """The holdout input of every spec layer under `choice`, one array per layer.
+    """The holdout input of each spec layer under `choice`, one array per layer.
 
     A sample that first differs from `choice` at layer f computes the same
     inputs below f, so it runs from f on ``inputs[f]``: the same operations
-    on the same arrays, hence the same bits as a run from layer 0.
+    on the same arrays, hence the same bits as a run from layer 0.  `inputs`
+    may stop short of the last layer; it then serves samples whose f lies
+    within it.
     """
 
     choice: SubNetChoice
@@ -267,6 +267,26 @@ def evaluate_sample(
     start = 0 if prefix is None else first_changed_layer(prefix.choice, choice)
     x = holdout.images if start == 0 else prefix.inputs[start]
     return _score(supernet.forward_eval(x, choice, start, capture), holdout.labels)
+
+
+def evaluate_run(
+    supernet: SuperNetwork, run: Sequence[SubNetChoice], holdout: Dataset, prefix: HoldoutPrefix,
+) -> list[tuple[float, float]]:
+    """`evaluate_sample` of each choice of `run`, sharing the layers they share.
+
+    Each choice runs from where it first differs from the one before it, on
+    the holdout inputs that one captured up to that layer; the first runs on
+    `prefix`.  Any order gives the same scores; sorted by pairs, each choice
+    shares the longest prefix with the one before it.
+    """
+    scores = []
+    for choice, after in zip(run, run[1:]):
+        stop = first_changed_layer(choice, after) + 1
+        capture = prefix.inputs[:stop]
+        capture += [None] * (stop - len(capture))
+        scores.append(evaluate_sample(supernet, choice, holdout, prefix, capture))
+        prefix = HoldoutPrefix(choice, capture)
+    return scores + [evaluate_sample(supernet, run[-1], holdout, prefix)]
 
 
 def select_best(records: Sequence[SampleRecord]) -> SampleRecord:
@@ -359,17 +379,23 @@ def run_search(
         first_id: dict[tuple, int] = {}
         for j, key in enumerate(keys):
             first_id.setdefault(key, j)
-        unique_ids = list(first_id.values())
+        # a run: the samples that share their first changed layer and its (M, k)
+        runs = [
+            [choices[j] for j in run] for _, run in groupby(
+                sorted(first_id.values(), key=lambda j: choices[j].pairs),
+                key=lambda j: choices[j].pairs[: first_changed_layer(prefix.choice, choices[j]) + 1],
+            )
+        ]
         # the threads share `prefix` read-only
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = pool.map(
-                lambda j: evaluate_sample(supernet, choices[j], holdout, prefix), unique_ids
-            )
-        # read after the pool has drained, so this thread does not wake once per sample
-        score = dict(zip(unique_ids, scores))
+            run_scores = pool.map(lambda run: evaluate_run(supernet, run, holdout, prefix), runs)
+        # read after the pool has drained, so this thread does not wake once per run
+        score = {
+            choice.key(): s for run, scores in zip(runs, run_scores) for choice, s in zip(run, scores)
+        }
         rows = [
             SampleRecord(
-                iteration, j, choice, total_resource(choice, model), *score[first_id[key]],
+                iteration, j, choice, total_resource(choice, model), *score[key],
                 duplicate_of=None if first_id[key] == j else first_id[key],
             )
             for j, (choice, key) in enumerate(zip(choices, keys))
@@ -381,11 +407,12 @@ def run_search(
         trajectory.append(best)
         if progress is not None:
             layers_run = sum(
-                len(specs) - first_changed_layer(prefix.choice, choices[j]) for j in unique_ids
+                len(specs) - first_changed_layer(before, choice)
+                for run in runs for before, choice in zip([prefix.choice, *run], run)
             )
             progress(
                 f"iteration {iteration}: {len(first_id)}/{len(choices)} unique samples, "
-                f"layers run {layers_run}/{len(unique_ids) * len(specs)}, "
+                f"layers run {layers_run}/{len(first_id) * len(specs)}, "
                 f"best resource {best.resource:.4g}, accuracy {best.holdout_accuracy:.4f}, "
                 f"loss {best.loss:.4f}"
             )

@@ -669,8 +669,9 @@ class SubNetwork(_Network):
         """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns.
 
         `x` is the input of spec layer `start`; the layers below it do not run.
-        `capture`, a list with one entry per spec layer, receives the input of
-        every spec layer from `start` on, including layers the network drops.
+        `capture`, a list indexed by spec layer, receives the input of every
+        spec layer from `start` up to its length, including layers the network
+        drops.
         """
         if record and start:
             raise StateError("a recorded forward pass starts at layer 0")
@@ -678,7 +679,7 @@ class SubNetwork(_Network):
         caches = []
         out = x
         for i in range(start, len(self.specs)):
-            if capture is not None:
+            if capture is not None and i < len(capture):
                 capture[i] = out
             layer = layer_at.get(i)
             if layer is None:
@@ -735,18 +736,22 @@ class SubNetwork(_Network):
     def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
         """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
 
-        `capture` receives each spec layer's input for all of `x`, one array per
-        layer; layer `start`'s is `x` itself.
+        `capture` receives the input of each spec layer from `start` up to its
+        length for all of `x`, one array per layer; layer `start`'s is `x`
+        itself.  The batches are joined after the last one has run: an array
+        filled batch by batch would live through every batch's temporaries
+        and raise the peak memory.
         """
+        stop = 0 if capture is None else len(capture)
         logits, inputs = [], []
         for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
-            batch = None if capture is None else [None] * len(self.specs)
+            batch = [None] * stop
             logits.append(self.forward(x[lo : lo + EVAL_BATCH_SIZE], start=start, capture=batch))
             inputs.append(batch)
-        if capture is not None:
+        if start < stop:
             capture[start] = x
-            for i in range(start + 1, len(self.specs)):
-                capture[i] = np.concatenate([batch[i] for batch in inputs])
+        for i in range(start + 1, stop):
+            capture[i] = np.concatenate([batch[i] for batch in inputs])
         return np.concatenate(logits)
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:

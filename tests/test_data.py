@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from netshrink.data import (
     Dataset,
+    _class_ids,
     load_raster,
     raster_header,
     save_raster,
@@ -85,6 +91,27 @@ class TestSplit:
         ds = synth_classification(2, 2, 4, 4, seed=7)
         with pytest.raises(ValueError, match="empty split"):
             split(ds, 0.01, seed=0)
+
+    def test_class_ids_are_np_unique_s_with_an_empty_class(self):
+        labels = np.array([4, 0, 4, 1, 0, 6], dtype=np.int64)  # 2, 3 and 5 are empty
+        assert _class_ids(labels).tolist() == np.unique(labels).tolist() == [0, 1, 4, 6]
+
+    def test_split_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, a cost the CLI need not pay
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from netshrink.data import synth_classification, three_way_split\n"
+            "three_way_split(synth_classification(4, 30, 4, 4, seed=8), 0.1, 0.2, seed=0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_three_way_tags(self):
         ds = synth_classification(4, 30, 4, 4, seed=8)

@@ -160,6 +160,26 @@ class TestMcdSampling:
         reduction = total_resource(self.full, self.table) - total_resource(sample, self.table)
         assert reduction >= 0.999 * capacity - 1e-9
 
+    def test_draws_are_pinned_for_a_seed(self):
+        # the sampler's rng stream decides every search artifact, so its draws stay put
+        specs = six_layer_specs()
+        table = synthetic_latency_table(specs, (8, 8), seed=20)
+        best = full_width_choice(specs).replace(1, 4, 3).replace(4, 2, 3)
+        required = 0.1 * total_resource(best, table)
+        rng = np.random.default_rng(17)
+        got = [generate_mcd_sample(specs, table, best, 3, required, rng).pairs for _ in range(8)]
+        assert got == [
+            ((4, 5), (4, 3), (6, 3), (8, 3), (0, 3), (8, 3)),
+            ((3, 5), (2, 3), (5, 3), (8, 3), (2, 3), (8, 3)),
+            ((2, 5), (4, 3), (8, 3), (2, 3), (2, 3), (4, 3)),
+            ((7, 3), (4, 3), (8, 3), (8, 3), (0, 3), (0, 3)),
+            ((8, 5), (4, 3), (1, 3), (8, 3), (1, 3), (1, 3)),
+            ((5, 3), (0, 3), (8, 3), (3, 3), (2, 3), (8, 3)),
+            ((8, 5), (1, 3), (6, 3), (8, 3), (0, 3), (8, 3)),
+            ((3, 3), (3, 3), (8, 3), (7, 3), (2, 3), (8, 3)),
+        ]
+        assert rng.integers(1 << 30) == 838432399  # and took the same number of draws
+
     def test_infeasible_reduction_raises_with_attempts(self):
         rng = np.random.default_rng(4)
         capacity = mcd_max_reduction(self.specs, self.table, self.full, 2)
@@ -359,7 +379,8 @@ class TestEvaluation:
 
 
 class TestPrefixReuse:
-    """Each sample runs from its first changed layer on the previous best's holdout inputs."""
+    """Each sample runs from where it first differs from the previous best, or from
+    the sample before it in its run, on the holdout inputs that one captured."""
 
     def build(self, layers=3, seed=31):
         specs = six_layer_specs()  # stride 2, bypass, and removable layers
@@ -370,19 +391,25 @@ class TestPrefixReuse:
         cfg = make_config(0.35 * r0, init_reduction=0.08, layers_per_sample=layers)
         return net, table, holdout, cfg
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("optimizer,layers", [("mcd", 2), ("mcd", 3), ("scd", 1)])
     def test_same_bytes_as_evaluating_every_sample_from_layer_0(
         self, monkeypatch, optimizer, layers, jobs
     ):
         net, table, holdout, cfg = self.build(layers)
 
-        def artifacts():
-            result = run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs)
+        def artifacts(result):
             rows = [net.architecture_json(r.choice) for r in result.trajectory]
             return search_log_csv(result.log_rows), search_log_csv(result.trajectory), rows
 
-        got = artifacts()
+        result = run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs)
+        shared = 0  # samples that run on layers the sample before them in their run captured
+        for it, best in enumerate(r.choice for r in result.trajectory[:-1]):
+            unique = [r.choice for r in result.log_rows if r.iteration == it and r.duplicate_of is None]
+            heads = {choice.pairs[: first_changed_layer(best, choice) + 1] for choice in unique}
+            shared += len(unique) - len(heads)
+        assert shared > 0 if optimizer == "mcd" else shared == 0  # SCD changes one layer each
+        got = artifacts(result)
         assert got[1].count("\n") >= 2 + 4  # header lines, the initial network, 3 iterations
         full = search.evaluate_sample
         monkeypatch.setattr(
@@ -390,7 +417,7 @@ class TestPrefixReuse:
             lambda supernet, choice, holdout, prefix=None, capture=None:
                 full(supernet, choice, holdout, capture=capture),
         )
-        assert got == artifacts()
+        assert got == artifacts(run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs))
 
     def test_progress_counts_the_layer_forwards_each_iteration_ran(self):
         net, table, holdout, cfg = self.build()
@@ -401,7 +428,13 @@ class TestPrefixReuse:
         for it, line in enumerate(lines):
             best = result.trajectory[it].choice
             unique = [r.choice for r in result.log_rows if r.iteration == it and r.duplicate_of is None]
-            run = sum(specs - first_changed_layer(best, choice) for choice in unique)
+            ordered = sorted(unique, key=lambda choice: choice.pairs)
+            # a sample starts where it first differs from the sample before it in pairs
+            # order if that is past its first changed layer from the best (same run)
+            run = sum(
+                specs - max(first_changed_layer(best, choice), first_changed_layer(before, choice))
+                for before, choice in zip([best, *ordered], ordered)
+            )
             assert f"layers run {run}/{len(unique) * specs}," in line
             skipped += len(unique) * specs - run
         assert skipped > 0

@@ -745,6 +745,14 @@ class TestUnifiedPaths:
         for start in range(len(specs)):
             got = net.forward_eval(inputs[start], choice, start)
             assert got.tobytes() == want.tobytes(), start
+            for stop in range(len(specs)):  # a shorter list captures only its own entries
+                short = [None] * stop
+                got = net.forward_eval(inputs[start], choice, start, capture=short)
+                assert got.tobytes() == want.tobytes(), (start, stop)
+                assert len(short) == stop and short[:start] == [None] * min(start, stop)
+                assert [a.tobytes() for a in short[start:]] == [
+                    a.tobytes() for a in inputs[start:stop]
+                ], (start, stop)
         with pytest.raises(StateError, match="starts at layer 0"):
             net.extract(choice).forward(inputs[1], record=True, start=1)
 
