@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LookupMissError, ParseError, read_json, write_atomic
+from .errors import LookupMissError, ParseError, TableError, read_json, write_atomic
 from .supernet import LayerSpec, SubNetChoice, spatial_flow
 
 LATENCY_TABLE_FORMAT = "netshrink-latency-table-v1"
@@ -106,13 +106,13 @@ class LatencyTable:
                         "not measured and interpolation is off"
                     )
                 if 0 in table[k] and table[k][0] != 0.0 and spec.stride == 1:
-                    raise ValueError(
+                    raise TableError(
                         f"layer {spec.index}: latency at M=0 must be 0, got {table[k][0]}"
                     )
                 ms = sorted(table[k])
                 vals = [table[k][m] for m in ms]
                 if any(b < a for a, b in zip(vals, vals[1:])):
-                    raise ValueError(
+                    raise TableError(
                         f"layer {spec.index}, kernel {k}: latency not non-decreasing in M"
                     )
             for m in spec.width_grid:
@@ -122,7 +122,7 @@ class LatencyTable:
                     if k in table and (m in table[k] or m == 0)
                 ]
                 if any(b < a for a, b in zip(line, line[1:])):
-                    raise ValueError(
+                    raise TableError(
                         f"layer {spec.index}, width {m}: latency not non-decreasing in k"
                     )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, write_atomic
+from .errors import ConfigError, ParseError, write_atomic
 
 RASTER_MAGIC = b"NSRAST1\0"
 _HEADER = struct.Struct("<5I")  # N, C, H, W, classes; little-endian after the magic
@@ -80,14 +80,15 @@ def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset
     """Disjoint, exhaustive, label-stratified split into (rest, holdout).
 
     The holdout gets round(fraction * N) items; per-class counts differ from
-    proportional by at most one (largest-remainder apportionment).
+    proportional by at most one (largest-remainder apportionment).  A
+    fraction outside (0, 1), or one that leaves a part empty, raises ConfigError.
     """
     if not 0 < holdout_fraction < 1:
-        raise ValueError(f"fraction must lie in (0, 1), got {holdout_fraction}")
+        raise ConfigError(f"fraction must lie in (0, 1), got {holdout_fraction}")
     n = len(dataset)
     target = int(round(holdout_fraction * n))
     if target == 0 or target == n:
-        raise ValueError(f"fraction {holdout_fraction} yields an empty split for {n} items")
+        raise ConfigError(f"fraction {holdout_fraction} yields an empty split for {n} items")
     rng = np.random.default_rng(seed)
     class_ids = _class_ids(dataset.labels)
     quotas = {}
@@ -113,9 +114,17 @@ def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset
 def three_way_split(
     dataset: Dataset, holdout_fraction: float, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, holdout, test): test first, then holdout carved from the rest."""
-    rest, test = split(dataset, test_fraction, seed)
-    train, holdout = split(rest, holdout_fraction, seed + 1)
+    """(train, holdout, test): test first, then holdout carved from the rest.
+
+    A ConfigError from `split` names the config key of the fraction at fault.
+    """
+    key = "dataset.test_fraction"
+    try:
+        rest, test = split(dataset, test_fraction, seed)
+        key = "dataset.holdout_fraction"
+        train, holdout = split(rest, holdout_fraction, seed + 1)
+    except ConfigError as e:
+        raise ConfigError(f"{key}: {e}") from None
     test.split = "test"
     return train, holdout, test
 
@@ -166,5 +175,11 @@ def load_raster(path: str | Path) -> Dataset:
             f"{path}: truncated label block at byte {len(blob)}, need {off + 2 * n}"
         )
     labels = np.frombuffer(blob, dtype="<u2", count=n, offset=off).astype(np.int64)
+    bad = np.flatnonzero(labels >= classes)
+    if bad.size:
+        raise ParseError(
+            f"{path}: label block at byte {off}: image {bad[0]} has label "
+            f"{labels[bad[0]]}, outside [0, {classes})"
+        )
     images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
     return Dataset(images, labels, classes)

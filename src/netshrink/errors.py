@@ -26,6 +26,10 @@ class LookupMissError(NetshrinkError, KeyError):
     """A latency table has no entry for the requested (layer, M, k)."""
 
 
+class TableError(NetshrinkError, ValueError):
+    """A latency table charges for a removed layer, or its latency falls as M or k grows."""
+
+
 class FeasibilityError(NetshrinkError, RuntimeError):
     """No sample meeting the resource bound could be generated."""
 

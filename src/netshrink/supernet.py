@@ -514,15 +514,9 @@ class SuperNetwork(_Network):
         """Logits of the chosen sub-network: ``extract(choice).predict(x, start, capture)``."""
         return self.extract(choice).predict(x, start, capture)
 
-    def score(
-        self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice
-    ) -> tuple[float, float]:
-        """Deterministic (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only."""
-        return _score(self.forward_eval(images, choice), labels)
-
     def evaluate(self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
-        return self.score(images, labels, choice)[0]
+        return _score(self.forward_eval(images, choice), labels)[0]
 
     # -- export ----------------------------------------------------------------
 
@@ -627,34 +621,28 @@ class SuperNetwork(_Network):
 
 @dataclass
 class EvalLayer:
-    """One materialized layer of an extracted sub-network."""
+    """One layer of an extracted sub-network; at M = 0 it has no weights and passes inputs on."""
 
     spec: LayerSpec
     m: int
     k: int
     z_in: int
-    z_out: int
     weight: T.Parameter | None
     bias: T.Parameter | None
 
 
 class SubNetwork(_Network):
-    """A discovered architecture with its own weights; trainable on its own."""
+    """A discovered architecture with its own weights; ``layers[i]`` is spec layer i."""
 
-    def __init__(
-        self,
-        layers: list[EvalLayer],
-        head_w: T.Parameter,
-        head_b: T.Parameter,
-        choice: SubNetChoice,
-        specs: tuple[LayerSpec, ...],
-    ):
+    def __init__(self, layers: list[EvalLayer], head_w: T.Parameter, head_b: T.Parameter):
         self.layers = layers
         self.head_w = head_w
         self.head_b = head_b
-        self.choice = choice
-        self.specs = specs
         self._cache: dict | None = None
+
+    @property
+    def choice(self) -> SubNetChoice:
+        return SubNetChoice(tuple((l.m, l.k) for l in self.layers))
 
     def parameters(self) -> list[T.Parameter]:
         ps = []
@@ -668,22 +656,17 @@ class SubNetwork(_Network):
     ) -> np.ndarray:
         """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns.
 
-        `x` is the input of spec layer `start`; the layers below it do not run.
-        `capture`, a list indexed by spec layer, receives the input of every
-        spec layer from `start` up to its length, including layers the network
-        drops.
+        `x` is the input of layer `start`; the layers below it do not run.
+        `capture`, a list indexed by layer, receives the input of every layer
+        from `start` up to its length.
         """
         if record and start:
             raise StateError("a recorded forward pass starts at layer 0")
-        layer_at = {layer.spec.index: layer for layer in self.layers}
         caches = []
         out = x
-        for i in range(start, len(self.specs)):
+        for i, layer in enumerate(self.layers[start:], start):
             if capture is not None and i < len(capture):
                 capture[i] = out
-            layer = layer_at.get(i)
-            if layer is None:
-                continue  # a dropped layer passes its input through
             if out.shape[1] != layer.z_in:
                 raise ShapeError(
                     f"layer {layer.spec.index}: expected {layer.z_in} input channels, "
@@ -710,7 +693,8 @@ class SubNetwork(_Network):
         self._cache = None
         dout = self._head_backward(dlogits, cache["head"])
         for i in reversed(range(len(self.layers))):
-            dout = self._layer_backward(self.layers[i], dout, cache["caches"][i], need_dx=i > 0)
+            need_dx = any(l.m > 0 for l in self.layers[:i])  # some layer below has weights
+            dout = self._layer_backward(self.layers[i], dout, cache["caches"][i], need_dx)
 
     def _layer_backward(
         self, layer: EvalLayer, dout: np.ndarray, lc: dict, need_dx: bool
@@ -726,9 +710,11 @@ class SubNetwork(_Network):
             )
         if not need_dx:
             return None
-        if dx is None:
-            dx = np.zeros_like(x)
         hi = spec.bypass_end(x.shape[1])
+        if dx is None:
+            if hi == x.shape[1]:
+                return dout  # a pass-through layer
+            dx = np.zeros_like(x)
         if layer.m < hi:
             dx[:, layer.m : hi] += dout[:, layer.m : hi]
         return dx
@@ -736,7 +722,7 @@ class SubNetwork(_Network):
     def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
         """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
 
-        `capture` receives the input of each spec layer from `start` up to its
+        `capture` receives the input of each layer from `start` up to its
         length for all of `x`, one array per layer; layer `start`'s is `x`
         itself.  The batches are joined after the last one has run: an array
         filled batch by batch would live through every batch's temporaries
@@ -759,15 +745,15 @@ class SubNetwork(_Network):
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""
-        check_choice(self.specs, choice)
+        specs = [l.spec for l in self.layers]
+        check_choice(specs, choice)
         i = first_growing_layer(self.choice, choice)
         if i is not None:
             (m0, k0), (m1, k1) = self.choice.pairs[i], choice.pairs[i]
-            raise GridError(f"layer {self.specs[i].index}: ({m1},{k1}) does not shrink ({m0},{k0})")
-        kept = {l.spec.index: (l.weight.value, l.bias.value) for l in self.layers if l.m > 0}
+            raise GridError(f"layer {specs[i].index}: ({m1},{k1}) does not shrink ({m0},{k0})")
         return _build_subnetwork(
-            self.specs, choice,
-            lambda i, m, k, z_in: kept[i],
+            specs, choice,
+            lambda j, m, k, z_in: (self.layers[j].weight.value, self.layers[j].bias.value),
             lambda z: (self.head_w.value, self.head_b.value),
         )
 
@@ -781,27 +767,23 @@ def _build_subnetwork(
     """The one sub-network builder: lays out `choice` along its channel flow.
 
     ``layer_source(index, m, k, z_in)`` and ``head_source(z)`` return the
-    (weight, bias) arrays that a kept layer, and the head over the final z
-    channels, copy their prefix slices from.
+    (weight, bias) arrays that a layer with M > 0, and the head over the
+    final z channels, copy their prefix slices from.
     """
     flow = channel_flow(specs, choice)
     layers = []
-    for spec, (m, k), z_in, z_out in zip(specs, choice.pairs, flow, flow[1:]):
-        if m == 0 and z_out == z_in:
-            continue  # full identity: drop the layer, channel count unchanged
+    for spec, (m, k), z_in in zip(specs, choice.pairs, flow):
         weight = bias = None
         if m > 0:
             w, b = layer_source(spec.index, m, k, z_in)
             weight = T.Parameter(prefix_slice(w, m, z_in, k).copy(), f"layer{spec.index}.weight")
             bias = T.Parameter(b[:m].copy(), f"layer{spec.index}.bias")
-        layers.append(EvalLayer(spec, m, k if m > 0 else 0, z_in, z_out, weight, bias))
+        layers.append(EvalLayer(spec, m, k if m > 0 else 0, z_in, weight, bias))
     head_w, head_b = head_source(flow[-1])
     return SubNetwork(
         layers,
         T.Parameter(head_w[:, : flow[-1]].copy(), "head.weight"),
         T.Parameter(head_b.copy(), "head.bias"),
-        choice=choice,
-        specs=tuple(specs),
     )
 
 

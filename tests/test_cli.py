@@ -18,6 +18,7 @@ from netshrink.cli import main
 from netshrink import config as cfgmod
 from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
+from netshrink.data import Dataset, save_raster
 from netshrink.errors import ConfigError, NetshrinkError, ParseError
 from netshrink.supernet import SubNetChoice
 
@@ -529,6 +530,154 @@ class TestRasterAndTableFiles:
         assert main(["train-discovered", "--config", str(cfg_path), "--out", str(run)]) == 0
         metrics = json.loads((run / "discovered" / "metrics.json").read_text())
         assert metrics["mode"] == "scratch"
+
+
+def raster_config(tmp_path: Path, labels, cut: int = 0, **dataset) -> tuple[Path, Path]:
+    """A config over a raster of len(labels) 2-channel 6x6 images whose header says 3 classes.
+
+    The labels are written as given, in range or not, and `cut` bytes come
+    off the end of the file.  Returns (config, raster).
+    """
+    raster = tmp_path / "data.raster"
+    n = len(labels)
+    save_raster(raster, Dataset(np.zeros((n, 2, 6, 6), np.float32), np.zeros(n, int), 3))
+    blob = raster.read_bytes()[: -2 * n] + np.asarray(labels, "<u2").tobytes()
+    raster.write_bytes(blob[: len(blob) - cut])
+    cfg = write_config(tmp_path / "c.json")
+    raw = json.loads(cfg.read_text())
+    raw["dataset"] = {"kind": "raster", "path": str(raster), **dataset}
+    cfg.write_text(json.dumps(raw))
+    return cfg, raster
+
+
+def non_monotone_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
+    """A trained run whose cost file charges nothing for layer 0's widest filter at k=3."""
+    cfg = write_config(tmp_path / "c.json")
+    table = synthetic_latency_table(load_config(cfg).layers, (6, 6), seed=1)
+    table.layers[0][3][max(table.layers[0][3])] = 0.0
+    table.save(tmp_path / "latency.json")
+    cfg = write_config(
+        tmp_path / "c.json", cost={"kind": "file", "path": str(tmp_path / "latency.json")}
+    )
+    run = str(tmp_path / "run")
+    assert main(["train-supernet", "--config", str(cfg), "--out", run]) == 0
+    return (
+        ["search", "--config", str(cfg), "--out", run],
+        ["layer 0, kernel 3: latency not non-decreasing in M"],
+    )
+
+
+def discovered_argv(tmp_path: Path, *flags: str) -> list[str]:
+    cfg = write_config(tmp_path / "c.json")
+    return ["train-discovered", "--config", str(cfg), "--out", str(tmp_path / "run"), *flags]
+
+
+def train_argv(tmp_path: Path, cfg: Path) -> list[str]:
+    return ["train-supernet", "--config", str(cfg), "--out", str(tmp_path / "run")]
+
+
+def one_entry_trajectory(tmp_path: Path) -> Path:
+    path = tmp_path / "trajectory.json"
+    path.write_text(json.dumps([[conv_row(6, 3), conv_row(6, 3)]]))
+    return path
+
+
+class TestBadInputFailsCleanly:
+    """Each case exits 1 with one `error:` line that names the field, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", dataset={"classes": 2, "per_class": 2, "test_fraction": 0.01}
+                    )),
+                    ["dataset.test_fraction", "empty split for 4 items"],
+                ),
+                id="empty-test-split",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json",
+                        dataset={"classes": 2, "per_class": 2, "holdout_fraction": 0.01},
+                    )),
+                    ["dataset.holdout_fraction", "empty split for 3 items"],
+                ),
+                id="empty-holdout-split",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, raster_config(
+                        tmp, [0, 1, 2], holdout_fraction=0.2, test_fraction=0.2
+                    )[0]),
+                    ["dataset.holdout_fraction", "empty split for 2 items"],
+                ),
+                id="empty-raster-holdout-split",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, raster_config(tmp, [0, 1, 3])[0]),
+                    [str(tmp / "data.raster"), "label block at byte 244", "label 3, outside [0, 3)"],
+                ),
+                id="raster-label-out-of-range",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, raster_config(tmp, [0, 1, 2], cut=1)[0]),
+                    [str(tmp / "data.raster"), "truncated label block at byte 249, need 250"],
+                ),
+                id="raster-label-block-cut-short",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(tmp / "c.json", cost={"kind": "file"})),
+                    ["cost.path: required"],
+                ),
+                id="cost-file-without-path",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", cost={"kind": "file", "path": str(tmp / "nope.json")}
+                    )),
+                    ["cost.path: file not found", "nope.json"],
+                ),
+                id="cost-file-missing",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", search={"metric": "macs"},
+                        cost={"kind": "file", "path": str(tmp / "c.json")},
+                    )),
+                    ["macs metric needs no table file", "cost.kind"],
+                ),
+                id="cost-file-with-macs-metric",
+            ),
+            pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
+            pytest.param(
+                lambda tmp: (discovered_argv(tmp), ["neither --architecture given nor"]),
+                id="discovered-without-input",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    discovered_argv(tmp, "--trajectory", str(one_entry_trajectory(tmp))),
+                    ["replay mode needs the super-network checkpoint", str(tmp / "run")],
+                ),
+                id="replay-without-checkpoint",
+            ),
+        ],
+    )
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, case):
+        argv, names = case(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for name in names:
+            assert name in err, (name, err)
 
 
 CORRUPT_JSON = [

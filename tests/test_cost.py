@@ -17,7 +17,7 @@ from netshrink.cost import (
     synthetic_latency_table,
     total_resource,
 )
-from netshrink.errors import LookupMissError, NetshrinkError, ParseError
+from netshrink.errors import LookupMissError, NetshrinkError, ParseError, TableError
 from netshrink.supernet import LayerSpec, SubNetChoice, full_width_choice, spatial_flow
 
 from reference import count_conv_taps
@@ -146,18 +146,23 @@ class TestLatencyTable:
 
     def test_validation_catches_nonmonotone(self):
         specs = stride1_specs()[:1]
-        table = synthetic_latency_table(specs, (8, 8), seed=5)
-        ms = sorted(table.layers[0][3])
-        table.layers[0][3][ms[-1]] = 0.0  # break monotonicity in M
-        with pytest.raises(ValueError, match="non-decreasing in M"):
-            table.validate_against(specs)
+        for axis in ("M", "k"):
+            table = synthetic_latency_table(specs, (8, 8), seed=5)
+            by_m = table.layers[0][3]
+            if axis == "M":
+                by_m[max(by_m)] = 0.0  # the widest entry at kernel 3 costs nothing
+            else:
+                table.layers[0][5] = {m: ms / 2 for m, ms in by_m.items()}  # k=5 at half k=3's cost
+            with pytest.raises(TableError, match=f"latency not non-decreasing in {axis}") as info:
+                table.validate_against(specs)
+            assert isinstance(info.value, ValueError)  # what the benchmark's table check catches
 
     def test_validation_catches_nonzero_removal(self):
         specs = stride1_specs()[:1]
         table = synthetic_latency_table(specs, (8, 8), seed=6)
         for k in table.layers[0]:
             table.layers[0][k][0] = 0.5
-        with pytest.raises(ValueError, match="M=0"):
+        with pytest.raises(TableError, match="M=0"):
             table.validate_against(specs)
 
     def test_file_round_trip(self, tmp_path):

@@ -647,13 +647,40 @@ class TestSubNetworkTraining:
         for p, g in zip(sub.parameters(), fd):
             assert relative_error(p.grad, g, floor=1e-6) < 1e-3, p.name
 
+    def test_removed_layer_trains_bitwise_like_the_rebuilt_network(self):
+        # criterion 02's construction: layer 1 removed against a net built without it
+        specs = [
+            LayerSpec(index=0, c=3, t=6, k_max=3, stride=1),
+            LayerSpec(index=1, c=6, t=6, k_max=3, stride=1),
+            LayerSpec(index=2, c=6, t=5, k_max=3, stride=1),
+        ]
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(40))
+        sub = net.extract(net.full_choice().replace(1, 0, 3))
+        assert [(l.m, l.weight) for l in sub.layers[1:2]] == [(0, None)]
+        rebuilt = SuperNetwork(
+            [LayerSpec(index=0, c=3, t=6, k_max=3), LayerSpec(index=1, c=6, t=5, k_max=3)],
+            (6, 6), 3, rng=np.random.default_rng(0),
+        )
+        for dst, src in zip(rebuilt.parameters(), [net.weights[0], net.weights[2], net.biases[0],
+                                                    net.biases[2], net.head_w, net.head_b]):
+            dst.value = src.value.copy()
+        plain = rebuilt.extract(rebuilt.full_choice())
+        x = np.random.default_rng(41).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        labels = np.array([0, 2, 1, 2])
+        grads = []
+        for model in (sub, plain):
+            model.zero_grad()
+            logits = model.forward(x, record=True)
+            model.backward(T.softmax_cross_entropy(logits, labels)[1])
+            grads.append([logits] + [p.grad for p in model.parameters()])
+        assert [g.dtype for g in grads[0]] == [np.float32] * 7
+        assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
+
     def test_shrink_reuses_overlapping_slices(self):
         net = toy_net(seed=10)
         full = net.extract(net.full_choice())
         smaller = full.shrink_to(SubNetChoice(((3, 3), (4, 3), (2, 3))))
-        src = {l.spec.index: l for l in full.layers}
-        for l in smaller.layers:
-            s = src[l.spec.index]
+        for s, l in zip(full.layers, smaller.layers):
             win = kernel_window(s.k, l.k) if l.k < s.k else slice(None)
             np.testing.assert_array_equal(
                 l.weight.value, s.weight.value[: l.m, : l.z_in, win, win]
@@ -693,7 +720,7 @@ def every_choice(specs):
 
 
 def layer_structure(sub):
-    return [(l.spec.index, l.m, l.k, l.z_in, l.z_out) for l in sub.layers]
+    return [(l.spec.index, l.m, l.k, l.z_in) for l in sub.layers] + [sub.head_w.value.shape]
 
 
 class TestUnifiedPaths:
@@ -712,24 +739,26 @@ class TestUnifiedPaths:
         specs = mixed_small_specs()
         net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(22))
         x = np.random.default_rng(23).standard_normal((2, 3, 8, 8)).astype(np.float32)
-        dropped = 0
+        passed_through = 0
         for choice in every_choice(specs):
             sub = net.extract(choice)
+            assert [l.spec.index for l in sub.layers] == list(range(len(specs)))
             inputs = [None] * len(specs)
             want = sub.forward(x, capture=inputs)
             assert inputs[0] is x
-            for i in range(len(specs)):
-                if i not in {l.spec.index for l in sub.layers}:  # dropped: input passes through
-                    dropped += 1
-                    nxt = inputs[i + 1] if i + 1 < len(specs) else None
-                    assert nxt is None or nxt is inputs[i]
+            for i, layer in enumerate(sub.layers):
+                nxt = inputs[i + 1] if i + 1 < len(specs) else None
+                if layer.weight is None and nxt is not None and nxt.shape == inputs[i].shape:
+                    passed_through += 1  # a removed layer's output is its input
+                    assert layer.m == 0 and np.shares_memory(nxt, inputs[i])
+                    assert nxt.tobytes() == inputs[i].tobytes()
                 tail = [None] * len(specs)
                 got = sub.forward(inputs[i], start=i, capture=tail)
                 assert got.tobytes() == want.tobytes(), (choice, i)
                 assert tail[:i] == [None] * i
                 assert tail[i] is inputs[i]
                 assert [a.tobytes() for a in tail[i:]] == [a.tobytes() for a in inputs[i:]]
-        assert dropped
+        assert passed_through
 
     def test_predict_captures_whole_inputs_across_batches(self):
         specs = mixed_small_specs()
@@ -769,12 +798,8 @@ class TestUnifiedPaths:
         for choice in every_choice(specs):
             sub = net.extract(choice)
             sub.forward(x, record=True)
-            real = [None] * len(specs) + [sub._cache["head"]["conv_shape"][1]]
-            for layer, cache in zip(sub.layers, sub._cache["caches"]):
-                real[layer.spec.index] = cache["x"].shape[1]
-            for i in reversed(range(len(specs))):  # a dropped width-0 layer passes x through
-                if real[i] is None:
-                    real[i] = real[i + 1]
+            real = [c["x"].shape[1] for c in sub._cache["caches"]]
+            real.append(sub._cache["head"]["conv_shape"][1])
             assert channel_flow(specs, choice) == real, choice
             for spec, (m, _), z_in, z_out in zip(specs, choice.pairs, real, real[1:]):
                 if spec.stride == 1:
