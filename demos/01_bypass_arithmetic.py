@@ -8,8 +8,14 @@ pass-through of its first min(C, T) inputs.
 """
 import numpy as np
 
-from netshrink import bypass_channel_map, cbc_output_channels
-from netshrink.supernet import LayerSpec, SubNetChoice, SuperNetwork, sliced_layer
+from netshrink.supernet import (
+    LayerSpec,
+    SubNetChoice,
+    SuperNetwork,
+    bypass_channel_map,
+    cbc_output_channels,
+    sliced_layer,
+)
 
 
 def show(c, t, label):

@@ -1,75 +1,1 @@
 """Hardware-cost-guided architecture search over a shared-weight super-network."""
-
-from .cost import (
-    LatencyTable,
-    MacModel,
-    co2_estimate,
-    interpolate_latency,
-    layer_macs,
-    synthetic_latency_table,
-    total_resource,
-)
-from .data import Dataset, load_raster, save_raster, split, synth_classification, three_way_split
-from .search import (
-    SampleRecord,
-    SearchConfig,
-    SearchResult,
-    evaluate_sample,
-    generate_mcd_sample,
-    generate_scd_samples,
-    reduction_schedule,
-    run_search,
-    select_best,
-    train_subnetwork,
-    train_supernetwork,
-    trajectory_replay_finetune,
-)
-from .supernet import (
-    LayerSpec,
-    SubNetChoice,
-    SubNetwork,
-    SuperNetwork,
-    bypass_channel_map,
-    cbc_output_channels,
-    ordered_dropout_mask,
-    sample_width_assignments,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "LatencyTable",
-    "LayerSpec",
-    "MacModel",
-    "SampleRecord",
-    "SearchConfig",
-    "SearchResult",
-    "SubNetChoice",
-    "SubNetwork",
-    "SuperNetwork",
-    "bypass_channel_map",
-    "cbc_output_channels",
-    "co2_estimate",
-    "evaluate_sample",
-    "generate_mcd_sample",
-    "generate_scd_samples",
-    "interpolate_latency",
-    "layer_macs",
-    "load_raster",
-    "ordered_dropout_mask",
-    "reduction_schedule",
-    "run_search",
-    "sample_width_assignments",
-    "save_raster",
-    "select_best",
-    "split",
-    "synth_classification",
-    "synthetic_latency_table",
-    "three_way_split",
-    "total_resource",
-    "train_subnetwork",
-    "train_supernetwork",
-    "trajectory_replay_finetune",
-    "__version__",
-]

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,12 @@ def _lock_holder(lock: Path) -> str:
 
 @contextmanager
 def _run_lock(run_dir: Path):
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Hold the run directory's lock; on exit, remove the directory if made here and still empty."""
+    created = not run_dir.exists()
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot make run directory {run_dir}: {e.strerror}") from None
     lock = run_dir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -72,6 +77,9 @@ def _run_lock(run_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
+        if created:
+            with suppress(OSError):  # not empty: it holds what the command wrote
+                run_dir.rmdir()
 
 
 def _write_provenance(stage_dir: Path, cfg: ExperimentConfig, stage: str, seconds: float) -> None:

@@ -153,7 +153,6 @@ class ExperimentConfig:
     dataset: DatasetConfig
     layers: tuple[LayerSpec, ...]
     input_hw: tuple[int, int]
-    channels: int
     classes: int
     training: TrainingConfig
     search: SearchSection
@@ -244,7 +243,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         dataset=dataset,
         layers=layers,
         input_hw=(dataset.height, dataset.width),
-        channels=dataset.channels,
         classes=dataset.classes,
         training=training,
         search=search,

@@ -24,7 +24,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     classes: int
-    split: str = "full"
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -37,8 +36,8 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    def take(self, idx: np.ndarray, split: str) -> "Dataset":
-        return Dataset(self.images[idx], self.labels[idx], self.classes, split)
+    def take(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.images[idx], self.labels[idx], self.classes)
 
 
 def synth_classification(
@@ -108,7 +107,7 @@ def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset
     holdout_idx = np.sort(np.concatenate(holdout_idx))
     mask = np.zeros(n, dtype=bool)
     mask[holdout_idx] = True
-    return dataset.take(np.flatnonzero(~mask), "train"), dataset.take(holdout_idx, "holdout")
+    return dataset.take(np.flatnonzero(~mask)), dataset.take(holdout_idx)
 
 
 def three_way_split(
@@ -125,7 +124,6 @@ def three_way_split(
         train, holdout = split(rest, holdout_fraction, seed + 1)
     except ConfigError as e:
         raise ConfigError(f"{key}: {e}") from None
-    test.split = "test"
     return train, holdout, test
 
 

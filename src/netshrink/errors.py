@@ -25,6 +25,8 @@ class StateError(NetshrinkError, RuntimeError):
 class LookupMissError(NetshrinkError, KeyError):
     """A latency table has no entry for the requested (layer, M, k)."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class TableError(NetshrinkError, ValueError):
     """A latency table charges for a removed layer, or its latency falls as M or k grows."""

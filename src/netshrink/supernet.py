@@ -163,21 +163,13 @@ class LayerSpec:
         if self.k_max not in kg:
             raise GridError(f"layer {self.index}: kernel grid {kg} must contain K={self.k_max}")
 
-    @property
-    def min_ct(self) -> int:
-        return min(self.c, self.t)
-
-    @property
-    def bypass_enabled(self) -> bool:
-        return self.stride == 1
-
     def bypass_end(self, z_in: int) -> int:
         """End of the inputs routed straight through when z_in channels arrive.
 
         Under width M the layer's output is its M filters followed by inputs
         M..bypass_end(z_in) - 1 (none when M is past the end).
         """
-        return min(z_in, self.min_ct) if self.bypass_enabled else 0
+        return min(z_in, self.c, self.t) if self.stride == 1 else 0
 
     def validate_choice(self, m: int, k: int) -> None:
         if m not in self.width_grid:
@@ -429,9 +421,6 @@ class SuperNetwork(_Network):
     def full_choice(self) -> SubNetChoice:
         return full_width_choice(self.specs)
 
-    def validate_choice(self, choice: SubNetChoice) -> None:
-        check_choice(self.specs, choice)
-
     # -- training: full-size tensors under per-image prefix masks --------------
 
     def _layer_train(self, index: int, x: np.ndarray, widths: np.ndarray, k: int):
@@ -455,11 +444,11 @@ class SuperNetwork(_Network):
         mask = ordered_dropout_mask(widths, spec.t, dtype=bool)
         keep = mask[:, :, None, None]
         out *= keep  # at full width `out` is relu(y), a fresh array
+        end = spec.bypass_end(spec.c)
         dropped = None
-        if spec.bypass_enabled:
-            mct = spec.min_ct
-            dropped = ~keep[:, :mct]
-            out[:, :mct] += x[:, :mct] * dropped
+        if end:  # at stride 2 even an empty slice of x fails to broadcast against out
+            dropped = ~keep[:, :end]
+            out[:, :end] += x[:, :end] * dropped
         cache = {
             "index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask,
             "gate": keep & (y > 0), "dropped": dropped,
@@ -474,9 +463,9 @@ class SuperNetwork(_Network):
             spec, self.weights[index], self.biases[index], cache["k"], dout * cache["gate"],
             cache, index > 0,
         )
-        if dx is not None and spec.bypass_enabled:
-            mct = spec.min_ct
-            dx[:, :mct] += dout[:, :mct] * cache["dropped"]
+        end = spec.bypass_end(spec.c)
+        if dx is not None and end:
+            dx[:, :end] += dout[:, :end] * cache["dropped"]
         return dx
 
     def forward_train(self, x: np.ndarray, widths: np.ndarray, kernels: Sequence[int]) -> np.ndarray:
@@ -522,7 +511,7 @@ class SuperNetwork(_Network):
 
     def architecture_json(self, choice: SubNetChoice) -> list[dict]:
         """Ordered layer dicts {index, kind, C, T, M, k, stride} plus the head row."""
-        self.validate_choice(choice)
+        check_choice(self.specs, choice)
         rows = []
         for spec, (m, k) in zip(self.specs, choice.pairs):
             rows.append(
@@ -600,7 +589,7 @@ class SuperNetwork(_Network):
         With rng None its weights are copies of the shared slices; with a
         Generator they are a fresh He init over the sub-network's own fan-in.
         """
-        self.validate_choice(choice)
+        check_choice(self.specs, choice)
         if rng is None:
             return _build_subnetwork(
                 self.specs, choice,

@@ -199,11 +199,10 @@ def conv2d_backward(
         wz[:, :, a : a + k, a : a + k] = w[:, :, ::-1, ::-1]
         wph = wz.reshape(f, c, d, s, d, s)[:, :, :, ::-1, :, ::-1]
         wph = wph.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, f * d * d)
-    wp = w_out + d - 1
-    dyp = np.zeros((n, f, h_out + d, wp), dtype=dy.dtype)
-    dyp[:, :, -lo : h_out - lo, -lo : w_out - lo] = dy
-    dycols = np.ascontiguousarray(_taps(dyp, d, 1, h_out, wp)).reshape(f * d * d, -1)
-    phases = (wph @ dycols).reshape(s, s, c, n, h_out, wp)
+    # the windows need -lo zero taps before dy; im2col pads (d - 1) // 2 in front,
+    # and as d - 1 = ceil(pad / s) + floor(pad / s), that is floor(pad / s) = -lo
+    dycols = im2col(dy, d)
+    phases = (wph @ dycols).reshape(s, s, c, n, h_out, w_out + d - 1)
     # interleave the phases into NCHW; at odd extents the last phases run one short
     dx = np.empty(x.shape, dtype=x.dtype)
     for r in range(s):

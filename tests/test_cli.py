@@ -550,20 +550,41 @@ def raster_config(tmp_path: Path, labels, cut: int = 0, **dataset) -> tuple[Path
     return cfg, raster
 
 
-def non_monotone_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
-    """A trained run whose cost file charges nothing for layer 0's widest filter at k=3."""
+def edited_table_search_argv(tmp_path: Path, edit) -> list[str]:
+    """`search` on a trained run whose cost file is a synthetic table changed by `edit`."""
     cfg = write_config(tmp_path / "c.json")
     table = synthetic_latency_table(load_config(cfg).layers, (6, 6), seed=1)
-    table.layers[0][3][max(table.layers[0][3])] = 0.0
+    edit(table.layers)
     table.save(tmp_path / "latency.json")
     cfg = write_config(
         tmp_path / "c.json", cost={"kind": "file", "path": str(tmp_path / "latency.json")}
     )
     run = str(tmp_path / "run")
     assert main(["train-supernet", "--config", str(cfg), "--out", run]) == 0
+    return ["search", "--config", str(cfg), "--out", run]
+
+
+def non_monotone_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
+    """A trained run whose cost file charges nothing for layer 0's widest filter at k=3."""
+
+    def edit(layers):
+        layers[0][3][max(layers[0][3])] = 0.0
+
     return (
-        ["search", "--config", str(cfg), "--out", run],
+        edited_table_search_argv(tmp_path, edit),
         ["layer 0, kernel 3: latency not non-decreasing in M"],
+    )
+
+
+def missing_width_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
+    """A trained run whose cost file has no entry for layer 1 at width 4, k=3."""
+
+    def edit(layers):
+        del layers[1][3][4]
+
+    return (
+        edited_table_search_argv(tmp_path, edit),
+        ["error: layer 1, kernel 3: widths [4] not measured and interpolation is off"],
     )
 
 
@@ -657,6 +678,7 @@ class TestBadInputFailsCleanly:
                 id="cost-file-with-macs-metric",
             ),
             pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
+            pytest.param(missing_width_table_run, id="latency-table-missing-width"),
             pytest.param(
                 lambda tmp: (discovered_argv(tmp), ["neither --architecture given nor"]),
                 id="discovered-without-input",
@@ -668,16 +690,34 @@ class TestBadInputFailsCleanly:
                 ),
                 id="replay-without-checkpoint",
             ),
+            pytest.param(
+                lambda tmp: (
+                    ["train-supernet", "--config", str(write_config(tmp / "c.json")),
+                     "--out", str(tmp / "c.json")],
+                    ["--out", str(tmp / "c.json")],
+                ),
+                id="out-names-a-file",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    ["search", "--config", str(write_config(tmp / "c.json")),
+                     "--checkpoint", str(tmp / "c.json"), "--out", str(tmp / "c.json")],
+                    ["--out", str(tmp / "c.json")],
+                ),
+                id="search-out-names-a-file",
+            ),
         ],
     )
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, case):
         argv, names = case(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         for name in names:
             assert name in err, (name, err)
+        assert sorted(tmp_path.rglob("*")) == before  # no run directory left behind
 
 
 CORRUPT_JSON = [

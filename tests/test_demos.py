@@ -1,16 +1,24 @@
-"""The quick demos run to completion against the current package.
+"""The quick demos run to completion against the current package, and every
+documented import resolves.
 
 Demos 04 (search walkthrough) and 05 (replay vs scratch) take several
-seconds each and stay out of the tier-1 run.
+seconds each and stay out of the tier-1 run; their imports are checked
+without running them.
 """
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from netshrink.cost import total_resource
+
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize(
@@ -26,3 +34,23 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_imports_resolve(demo):
+    """Each `from netshrink... import name` names a module attribute or a submodule."""
+    for node in ast.walk(ast.parse(demo.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "netshrink":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+
+
+def test_readme_library_sketch_meets_its_target():
+    readme = (ROOT / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(compile(sketch, "README.md", "exec"), scope)
+    final = scope["result"].trajectory[-1].choice
+    assert total_resource(final, scope["table"]) <= scope["cfg"].target_resource

@@ -75,9 +75,7 @@ def make_config(target, **kw):
 
 
 def tiny_holdout(seed=0, n_per_class=5, classes=3, hw=6):
-    ds = synth_classification(classes, n_per_class, hw, hw, seed=seed, noise=0.3)
-    ds.split = "holdout"
-    return ds
+    return synth_classification(classes, n_per_class, hw, hw, seed=seed, noise=0.3)
 
 
 class TestSchedule:

@@ -15,6 +15,7 @@ from netshrink.supernet import (
     bypass_channel_map,
     cbc_output_channels,
     channel_flow,
+    check_choice,
     choice_from_rows,
     default_kernel_grid,
     default_width_grid,
@@ -921,7 +922,7 @@ class TestPersistence:
             choice = choice_from_rows(rows, net.specs, "fuzz")
         except NetshrinkError:
             return
-        net.validate_choice(choice)
+        check_choice(net.specs, choice)
 
 
 class TestChannelFlowHelper:
