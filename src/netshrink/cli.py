@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .config import ExperimentConfig, load_config
 from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table, total_resource
 from .data import Dataset, load_raster, synth_classification, three_way_split
 from .errors import ConfigError, NetshrinkError, ParseError, StateError, read_json, write_atomic
-from .search import SearchConfig, run_search, train_subnetwork, trajectory_replay_finetune
+from .search import run_search, train_subnetwork, trajectory_replay_finetune
 from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
 
@@ -60,8 +61,8 @@ def _lock_holder(lock: Path) -> str:
 
 @contextmanager
 def _run_lock(run_dir: Path):
-    """Hold the run directory's lock; on exit, remove the directory if made here and still empty."""
-    created = not run_dir.exists()
+    """Hold the run directory's lock; on exit, remove each directory made here and still empty."""
+    made = [d for d in (run_dir, *run_dir.parents) if not d.exists()]  # deepest first
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -77,9 +78,9 @@ def _run_lock(run_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
-        if created:
-            with suppress(OSError):  # not empty: it holds what the command wrote
-                run_dir.rmdir()
+        with suppress(OSError):  # not empty: it holds what the command wrote, and so do its parents
+            for d in made:
+                d.rmdir()
 
 
 def _write_provenance(stage_dir: Path, cfg: ExperimentConfig, stage: str, seconds: float) -> None:
@@ -140,22 +141,6 @@ def _build_cost_model(cfg: ExperimentConfig):
     return table
 
 
-def _search_config(cfg: ExperimentConfig, model, net: SuperNetwork) -> SearchConfig:
-    s = cfg.search
-    if s.target_resource is not None:
-        target = s.target_resource
-    else:
-        target = s.target_fraction * total_resource(net.full_choice(), model)
-    return SearchConfig(
-        samples_per_iteration=s.samples_per_iteration,
-        layers_per_sample=s.layers_per_sample,
-        init_reduction=s.init_reduction,
-        decay=s.decay,
-        target_resource=target,
-        seed=cfg.seed + cfgmod.SEED_SEARCH,
-    )
-
-
 def _curve_csv(history: list[dict]) -> str:
     lines = [f"# {CURVE_FORMAT}", "epoch,loss,holdout_accuracy"]
     for row in history:
@@ -213,11 +198,9 @@ def cmd_search(args) -> int:
         _, holdout, _ = _splits(cfg)
         net = _build_supernet(cfg)
         net.load(checkpoint)
-        model = _build_cost_model(cfg)
-        scfg = _search_config(cfg, model, net)
         result = run_search(
-            net, model, scfg, holdout,
-            optimizer=cfg.search.optimizer, jobs=args.jobs, progress=print,
+            net, _build_cost_model(cfg), replace(cfg.search, seed=cfg.seed + cfgmod.SEED_SEARCH),
+            holdout, jobs=args.jobs, progress=print,
         )
         stage_dir = out / "search"
         stage_dir.mkdir(parents=True, exist_ok=True)
@@ -228,9 +211,9 @@ def cmd_search(args) -> int:
             net.architecture_json(result.trajectory[-1].choice),
         )
         _write_provenance(stage_dir, cfg, "search", time.perf_counter() - started)
-    final = result.trajectory[-1]
+    initial, final = result.trajectory[0], result.trajectory[-1]
     print(
-        f"search met target {scfg.target_resource:.6g} ({cfg.search.metric}): "
+        f"search met target {cfg.search.target(initial.resource):.6g} ({cfg.search.metric}): "
         f"final resource {final.resource:.6g}, holdout accuracy "
         f"{final.holdout_accuracy:.4f}, {len(result.trajectory) - 1} iterations"
     )

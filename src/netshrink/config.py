@@ -82,14 +82,14 @@ def _field_value(section: str, f, v):
 
 
 def _parse(cls, raw: dict, section: str):
-    """Build config section `cls` from its JSON object; `cls`'s fields are its keys.
+    """Build config section `cls` from its JSON object; its `_key` fields are the keys.
 
     When some fields belong to certain kinds only, the section's `kind` is
     checked first, and the keys are the fields that apply to it.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: must be an object, got {type(raw).__name__}")
-    keys = {f.name: f for f in fields(cls)}
+    keys = {f.name: f for f in fields(cls) if f.metadata}
     if any(f.metadata["kinds"] for f in keys.values()):
         kind = _field_value(section, keys["kind"], raw.get("kind"))
         keys = {n: f for n, f in keys.items() if kind in (f.metadata["kinds"] or (kind,))}
@@ -121,15 +121,36 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class SearchSection:
-    samples_per_iteration: int = _key(20, lo=1)
-    layers_per_sample: int = _key(3, lo=1)
-    init_reduction: float = _key(0.03, lo=1e-9, hi=0.999)
-    decay: float = _key(0.98, lo=1e-9, hi=1.0)
+class SearchConfig:
+    """One search run: the `search` section's keys, and the seed of its rng.
+
+    A library caller's values are checked against the same bounds as a
+    config file's, with the same messages.  `seed` is not a config key.
+    """
+
+    samples_per_iteration: int = _key(20, lo=1)  # J
+    layers_per_sample: int = _key(3, lo=1)  # L
+    init_reduction: float = _key(0.03, lo=1e-9, hi=0.999)  # fraction of the initial resource
+    decay: float = _key(0.98, lo=1e-9, hi=1.0)  # per-iteration multiplier on the reduction
     target_fraction: float | None = _key(None, lo=1e-9, hi=1.0)
     target_resource: float | None = _key(None, lo=1e-12)
     metric: str = _key("latency", choices=("latency", "macs"))
     optimizer: str = _key("mcd", choices=("mcd", "scd"))
+    seed: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.metadata and not (v is None and f.type.endswith(" | None")):
+                object.__setattr__(self, f.name, _field_value("search", f, v))
+        if (self.target_fraction is None) == (self.target_resource is None):
+            raise ConfigError("search: give exactly one of target_fraction or target_resource")
+
+    def target(self, initial_resource: float) -> float:
+        """The resource the search stops at, for a full network of `initial_resource`."""
+        if self.target_resource is not None:
+            return self.target_resource
+        return self.target_fraction * initial_resource
 
 
 @dataclass(frozen=True)
@@ -155,7 +176,7 @@ class ExperimentConfig:
     input_hw: tuple[int, int]
     classes: int
     training: TrainingConfig
-    search: SearchSection
+    search: SearchConfig
     cost: CostConfig
     discovered: DiscoveredConfig
     raw: dict = field(repr=False, default_factory=dict)
@@ -220,9 +241,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     layers = _parse_layers(raw["network"], dataset.channels)
     training = _parse(TrainingConfig, raw.get("training", {}), "training")
 
-    search = _parse(SearchSection, raw["search"], "search")
-    if (search.target_fraction is None) == (search.target_resource is None):
-        raise ConfigError("search: give exactly one of target_fraction or target_resource")
+    search = _parse(SearchConfig, raw["search"], "search")
     if search.layers_per_sample > len(layers):
         raise ConfigError(
             f"search.layers_per_sample: {search.layers_per_sample} exceeds the "

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .config import SearchConfig
 from .cost import total_resource
 from .data import Dataset
 from .errors import (
@@ -45,30 +46,6 @@ _MAX_ITERATIONS = 100_000
 
 def _tol(x: float) -> float:
     return 1e-9 * max(1.0, abs(x))
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Hyper-parameters of one search run."""
-
-    samples_per_iteration: int  # J
-    layers_per_sample: int  # L
-    init_reduction: float  # fraction of the initial resource
-    decay: float  # per-iteration multiplier on the reduction
-    target_resource: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples_per_iteration < 1:
-            raise GridError(f"samples_per_iteration must be >= 1, got {self.samples_per_iteration}")
-        if self.layers_per_sample < 1:
-            raise GridError(f"layers_per_sample must be >= 1, got {self.layers_per_sample}")
-        if not 0 < self.init_reduction < 1:
-            raise GridError(f"init_reduction must lie in (0, 1), got {self.init_reduction}")
-        if not 0 < self.decay <= 1:
-            raise GridError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.target_resource <= 0:
-            raise GridError(f"target_resource must be > 0, got {self.target_resource}")
 
 
 @dataclass(frozen=True)
@@ -261,10 +238,13 @@ def evaluate_sample(
     """Holdout (top-1 accuracy, mean cross-entropy) of the sliced sub-network; read-only.
 
     With `prefix`, runs only from the first layer where `choice` differs
-    from ``prefix.choice``.  `capture` receives the holdout input of each
-    layer that runs (see `SubNetwork.forward`).
+    from ``prefix.choice``, or from the last layer ``prefix.inputs`` holds if
+    that comes first.  `capture` receives the holdout input of each layer
+    that runs (see `SubNetwork.forward`).
     """
-    start = 0 if prefix is None else first_changed_layer(prefix.choice, choice)
+    start = 0 if prefix is None else min(
+        first_changed_layer(prefix.choice, choice), len(prefix.inputs) - 1
+    )
     x = holdout.images if start == 0 else prefix.inputs[start]
     return _score(supernet.forward_eval(x, choice, start, capture), holdout.labels)
 
@@ -311,34 +291,31 @@ def run_search(
     model,
     config: SearchConfig,
     holdout: Dataset,
-    optimizer: str = "mcd",
     jobs: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> SearchResult:
-    """Shrink from the full network until the target resource is met.
+    """Shrink from the full network until its resource meets ``config.target``.
 
     Returns one log row per generated sample and the trajectory: the initial
     network (iteration -1), then each iteration's chosen log row.  Evaluates
     an iteration's unique samples on `jobs` threads; deterministic for a
     fixed config seed whatever `jobs` is.
     """
-    if optimizer not in ("mcd", "scd"):
-        raise GridError(f"optimizer must be mcd or scd, got {optimizer!r}")
     if jobs < 1:
         raise GridError(f"jobs must be >= 1, got {jobs}")
     specs = supernet.specs
     rng = np.random.default_rng(config.seed)
     full = supernet.full_choice()
     initial_resource = total_resource(full, model)
+    target = config.target(initial_resource)
     min_resource = total_resource(min_resource_choice(specs), model)
-    if min_resource > config.target_resource + _tol(config.target_resource):
+    if min_resource > target + _tol(target):
         raise InfeasibleTargetError(
-            f"target {config.target_resource:.6g} is below the minimum achievable "
-            f"resource {min_resource:.6g}"
+            f"target {target:.6g} is below the minimum achievable resource {min_resource:.6g}"
         )
     if config.decay < 1.0:
         total_schedulable = initial_resource * config.init_reduction / (1.0 - config.decay)
-        needed = initial_resource - config.target_resource
+        needed = initial_resource - target
         if total_schedulable < needed:
             raise InfeasibleTargetError(
                 f"the geometric schedule tops out at {total_schedulable:.6g} total "
@@ -354,7 +331,7 @@ def run_search(
     trajectory = [best]
     log_rows: list[SampleRecord] = []
     iteration = 0
-    while best.resource > config.target_resource + _tol(config.target_resource):
+    while best.resource > target + _tol(target):
         if iteration >= _MAX_ITERATIONS:
             raise FeasibilityError(f"no convergence after {iteration} iterations")
         if prefix.choice != best.choice:
@@ -363,7 +340,7 @@ def run_search(
             best.resource, initial_resource, config, iteration, min_resource
         )
         required = best.resource - budget
-        if optimizer == "mcd":
+        if config.optimizer == "mcd":
             choices = [
                 generate_mcd_sample(specs, model, best.choice, config.layers_per_sample, required, rng)
                 for _ in range(config.samples_per_iteration)

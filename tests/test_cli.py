@@ -20,6 +20,7 @@ from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
 from netshrink.data import Dataset, save_raster
 from netshrink.errors import ConfigError, NetshrinkError, ParseError
+from netshrink.search import SearchConfig
 from netshrink.supernet import SubNetChoice
 
 
@@ -76,6 +77,10 @@ class TestConfigValidation:
         path = write_config(tmp_path / "c.json", training={"epochs": 2, "momentum": 0.9})
         with pytest.raises(ConfigError, match="momentum"):
             load_config(path)
+        # SearchConfig.seed is no config key: the search's seed derives from config.seed
+        path = write_config(tmp_path / "c.json", search={"seed": 1})
+        with pytest.raises(ConfigError, match=re.escape("search: unknown key(s) ['seed']")):
+            load_config(path)
 
     def test_missing_dataset_file_fails_before_any_compute(self, tmp_path):
         path = write_config(tmp_path / "c.json")
@@ -110,6 +115,30 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="exactly one"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            pytest.param({"init_reduction": 0.9995, "target_fraction": 0.5}, id="init-reduction"),
+            pytest.param({"target_resource": 1e-13}, id="tiny-target"),
+            pytest.param({"target_resource": math.nan}, id="nan-target"),
+            pytest.param({"samples_per_iteration": 1.5, "target_fraction": 0.5}, id="fractional-j"),
+            pytest.param({"optimizer": "sgd", "target_fraction": 0.5}, id="optimizer"),
+            pytest.param({"target_fraction": 0.5, "target_resource": 5.0}, id="both-targets"),
+            pytest.param({}, id="no-target"),
+        ],
+    )
+    def test_search_config_and_file_share_one_bound(self, tmp_path, section):
+        path = write_config(tmp_path / "c.json")
+        raw = json.loads(path.read_text())
+        raw["search"] = section
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as from_file:
+            load_config(path)
+        with pytest.raises(ConfigError) as from_library:
+            SearchConfig(**section)
+        assert str(from_library.value) == str(from_file.value)
+        assert str(from_file.value).startswith("search")
 
     def test_layers_per_sample_bounded_by_layer_count(self, tmp_path):
         path = write_config(tmp_path / "c.json", search={"layers_per_sample": 5})
@@ -201,7 +230,7 @@ class TestConfigValidation:
         assert dataclasses.asdict(cfg.search) == {
             "samples_per_iteration": 20, "layers_per_sample": 3, "init_reduction": 0.03,
             "decay": 0.98, "target_fraction": 0.5, "target_resource": None,
-            "metric": "latency", "optimizer": "mcd",
+            "metric": "latency", "optimizer": "mcd", "seed": 0,
         }
         assert dataclasses.asdict(cfg.cost) == {"kind": "synthetic", "path": "", "interpolate": False}
         assert dataclasses.asdict(cfg.discovered) == {
@@ -213,13 +242,37 @@ class TestConfigValidation:
         sections = {
             "dataset": cfgmod.DatasetConfig,
             "training": cfgmod.TrainingConfig,
-            "search": cfgmod.SearchSection,
+            "search": cfgmod.SearchConfig,
             "cost": cfgmod.CostConfig,
             "discovered": cfgmod.DiscoveredConfig,
         }
-        documented = set(re.findall(rf"^\| `((?:{'|'.join(sections)})\.\w+)` \|", readme, re.M))
-        declared = {f"{name}.{f.name}" for name, cls in sections.items() for f in dataclasses.fields(cls)}
-        assert documented == declared
+        rows = re.findall(
+            rf"^\| `((?:{'|'.join(sections)})\.\w+)` \| ([^|]+) \| ([^|]+) \|", readme, re.M
+        )
+        documented = {key: (kind, default) for key, kind, default in rows}
+        declared = {
+            f"{name}.{f.name}": f
+            for name, cls in sections.items() for f in dataclasses.fields(cls) if f.metadata
+        }
+        assert documented.keys() == declared.keys()
+
+        for key, (kind, default) in documented.items():
+            f = declared[key]
+            assert kind == f.type.removesuffix(" | None"), key
+            suffix = "".join(f" ({k})" for k in f.metadata["kinds"])
+            assert default.endswith(suffix), key
+            default = default.removesuffix(suffix)
+            if f.metadata["required"]:
+                want = "required"
+            elif f.default is None:
+                want = "none"
+            elif isinstance(f.default, bool):
+                want = f"`{str(f.default).lower()}`"
+            elif isinstance(f.default, str):
+                want = f"`{f.default}`" if f.default else '`""`'
+            else:
+                want, default = f.default, float(default)
+            assert default == want, key
 
 
 class TestTrainSupernetCommand:
@@ -593,8 +646,8 @@ def discovered_argv(tmp_path: Path, *flags: str) -> list[str]:
     return ["train-discovered", "--config", str(cfg), "--out", str(tmp_path / "run"), *flags]
 
 
-def train_argv(tmp_path: Path, cfg: Path) -> list[str]:
-    return ["train-supernet", "--config", str(cfg), "--out", str(tmp_path / "run")]
+def train_argv(tmp_path: Path, cfg: Path, out: str = "run") -> list[str]:
+    return ["train-supernet", "--config", str(cfg), "--out", str(tmp_path / out)]
 
 
 def one_entry_trajectory(tmp_path: Path) -> Path:
@@ -627,6 +680,16 @@ class TestBadInputFailsCleanly:
                     ["dataset.holdout_fraction", "empty split for 3 items"],
                 ),
                 id="empty-holdout-split",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json",
+                        dataset={"classes": 2, "per_class": 2, "holdout_fraction": 0.01},
+                    ), out="a/b/run"),
+                    ["dataset.holdout_fraction", "empty split for 3 items"],
+                ),
+                id="empty-holdout-split-nested-out",
             ),
             pytest.param(
                 lambda tmp: (

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
 from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
 from netshrink.search import (
+    HoldoutPrefix,
     SampleRecord,
     SearchConfig,
     evaluate_sample,
@@ -400,7 +402,8 @@ class TestPrefixReuse:
             rows = [net.architecture_json(r.choice) for r in result.trajectory]
             return search_log_csv(result.log_rows), search_log_csv(result.trajectory), rows
 
-        result = run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs)
+        cfg = replace(cfg, optimizer=optimizer)
+        result = run_search(net, table, cfg, holdout, jobs=jobs)
         shared = 0  # samples that run on layers the sample before them in their run captured
         for it, best in enumerate(r.choice for r in result.trajectory[:-1]):
             unique = [r.choice for r in result.log_rows if r.iteration == it and r.duplicate_of is None]
@@ -415,7 +418,17 @@ class TestPrefixReuse:
             lambda supernet, choice, holdout, prefix=None, capture=None:
                 full(supernet, choice, holdout, capture=capture),
         )
-        assert got == artifacts(run_search(net, table, cfg, holdout, optimizer=optimizer, jobs=jobs))
+        assert got == artifacts(run_search(net, table, cfg, holdout, jobs=jobs))
+
+    def test_the_prefix_choice_itself_scores_as_from_layer_0(self):
+        net, _, holdout, _ = self.build()
+        full = net.full_choice()
+        inputs = [None] * len(net.specs)
+        evaluate_sample(net, full, holdout, capture=inputs)
+        prefix = HoldoutPrefix(full, inputs).moved_to(net, full.replace(2, 4, 3))
+        assert evaluate_sample(net, prefix.choice, holdout, prefix) == evaluate_sample(
+            net, prefix.choice, holdout
+        )
 
     def test_progress_counts_the_layer_forwards_each_iteration_ran(self):
         net, table, holdout, cfg = self.build()
@@ -571,8 +584,27 @@ class TestRunSearch:
         net, table, holdout = self.build(seed=6)
         r0 = total_resource(net.full_choice(), table)
         cfg = make_config(0.8 * r0, seed=23)
-        result = run_search(net, table, cfg, holdout, optimizer="scd")
+        result = run_search(net, table, replace(cfg, optimizer="scd"), holdout)
         assert result.trajectory[-1].resource <= cfg.target_resource + 1e-9
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("optimizer", ["mcd", "scd"])
+    def test_a_higher_target_stops_on_a_prefix_of_a_lower_ones_search(self, optimizer, jobs):
+        # the target only stops the loop: no draw and no budget depends on it
+        rows = [(3, 8, 5, 1), (8, 8, 3, 1), (8, 8, 3, 2), (8, 8, 3, 1)]  # (C, T, k, stride)
+        specs = [LayerSpec(i, c, t, k, s) for i, (c, t, k, s) in enumerate(rows)]
+        net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(7))
+        table = synthetic_latency_table(specs, (8, 8), seed=7)
+        holdout = tiny_holdout(seed=7, hw=8)
+        cfg = SearchConfig(
+            samples_per_iteration=10, layers_per_sample=2, init_reduction=0.03, decay=1.0,
+            target_fraction=0.5, optimizer=optimizer, seed=5,
+        )
+        low = run_search(net, table, cfg, holdout, jobs=jobs)
+        high = run_search(net, table, replace(cfg, target_fraction=0.8), holdout, jobs=jobs)
+        assert 1 < len(high.trajectory) < len(low.trajectory)
+        assert high.trajectory == low.trajectory[: len(high.trajectory)]
+        assert high.log_rows == low.log_rows[: len(high.log_rows)]
 
     def test_trajectory_file_round_trip(self, tmp_path):
         net, table, holdout = self.build(seed=7)
