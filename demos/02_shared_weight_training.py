@@ -8,6 +8,7 @@ and the masked and sliced paths compute the same function.
 """
 import numpy as np
 
+from netshrink.config import TrainingConfig
 from netshrink.data import synth_classification, three_way_split
 from netshrink.search import train_supernetwork
 from netshrink.supernet import LayerSpec, SuperNetwork, sample_width_assignments
@@ -30,8 +31,8 @@ train, holdout, test = three_way_split(data, 0.1, 0.15, seed=2)
 
 print("\ntraining the super-network (every batch mixes widths and kernels) ...")
 history = train_supernetwork(
-    net, train, epochs=50, rng=np.random.default_rng(3), batch_size=32, lr=0.08,
-    holdout=holdout,
+    net, train, TrainingConfig(epochs=50, batch_size=32, learning_rate=0.08),
+    np.random.default_rng(3), holdout=holdout,
 )
 print(f"final epoch: loss {history[-1]['loss']:.3f}, "
       f"full-width holdout accuracy {history[-1]['holdout_accuracy']:.3f}")

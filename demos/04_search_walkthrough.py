@@ -8,6 +8,7 @@ which is why it needs fewer iterations on deep nets.
 """
 import numpy as np
 
+from netshrink.config import TrainingConfig
 from netshrink.cost import synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
 from netshrink.search import (
@@ -31,7 +32,8 @@ table = synthetic_latency_table(specs, (8, 8), seed=1)
 
 data = synth_classification(4, 120, 8, 8, seed=2, noise=1.0)
 train, holdout, test = three_way_split(data, 0.1, 0.15, seed=2)
-train_supernetwork(net, train, epochs=50, rng=np.random.default_rng(3), batch_size=32, lr=0.08)
+training = TrainingConfig(epochs=50, batch_size=32, learning_rate=0.08)
+train_supernetwork(net, train, training, np.random.default_rng(3))
 
 full = net.full_choice()
 r0 = total_resource(full, table)

@@ -9,6 +9,7 @@ methods near ceiling.
 """
 import numpy as np
 
+from netshrink.config import DiscoveredConfig, TrainingConfig
 from netshrink.cost import synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
 from netshrink.search import (
@@ -31,8 +32,8 @@ def one_seed(seed):
     table = synthetic_latency_table(specs, (8, 8), seed=seed)
     data = synth_classification(4, 140, 8, 8, seed=seed, noise=1.6)
     train, holdout, test = three_way_split(data, 0.1, 0.15, seed=seed)
-    train_supernetwork(net, train, epochs=35, rng=np.random.default_rng(seed + 1),
-                       batch_size=32, lr=0.08)
+    training = TrainingConfig(epochs=35, batch_size=32, learning_rate=0.08)
+    train_supernetwork(net, train, training, np.random.default_rng(seed + 1))
 
     r0 = total_resource(net.full_choice(), table)
     cfg = SearchConfig(samples_per_iteration=15, layers_per_sample=2, init_reduction=0.03,
@@ -41,15 +42,14 @@ def one_seed(seed):
     choices = [rec.choice for rec in result.trajectory]
 
     steps = len(choices) - 1
-    per_step, final_epochs = 2, 14
+    discovered = DiscoveredConfig(epochs=14, replay_epochs_per_step=2)
     replayed = trajectory_replay_finetune(
-        net, choices, train, np.random.default_rng(seed + 3),
-        epochs_per_step=per_step, final_epochs=final_epochs, batch_size=32, lr=0.08,
+        net, choices, train, np.random.default_rng(seed + 3), training, discovered
     )
     # same total budget for scratch: shrink-step epochs + final epochs
     scratch = net.extract(choices[-1], rng=np.random.default_rng(seed + 4))
-    train_subnetwork(scratch, train, steps * per_step + final_epochs,
-                     np.random.default_rng(seed + 3), batch_size=32, lr=0.08)
+    train_subnetwork(scratch, train, steps * discovered.replay_epochs_per_step + discovered.epochs,
+                     np.random.default_rng(seed + 3), training)
     return (
         replayed.evaluate(test.images, test.labels),
         scratch.evaluate(test.images, test.labels),

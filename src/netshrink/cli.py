@@ -163,14 +163,7 @@ def cmd_train_supernet(args) -> int:
         train, holdout, _ = _splits(cfg)
         net = _build_supernet(cfg)
         history = searchmod.train_supernetwork(
-            net, train,
-            epochs=cfg.training.epochs,
-            rng=np.random.default_rng(cfg.seed + cfgmod.SEED_TRAIN),
-            batch_size=cfg.training.batch_size,
-            lr=cfg.training.learning_rate,
-            weight_decay=cfg.training.weight_decay,
-            lr_decay=cfg.training.lr_decay,
-            holdout=holdout,
+            net, train, cfg.training, np.random.default_rng(cfg.seed + cfgmod.SEED_TRAIN), holdout
         )
         stage_dir = out / "supernet"
         stage_dir.mkdir(parents=True, exist_ok=True)
@@ -252,21 +245,11 @@ def cmd_train_discovered(args) -> int:
                 raise ConfigError(f"replay mode needs the super-network checkpoint: {checkpoint}")
             net.load(checkpoint)
             discovered = trajectory_replay_finetune(
-                net, choices, train, rng,
-                epochs_per_step=cfg.discovered.replay_epochs_per_step,
-                final_epochs=cfg.discovered.epochs,
-                batch_size=cfg.training.batch_size,
-                lr=cfg.training.learning_rate,
-                weight_decay=cfg.training.weight_decay,
+                net, choices, train, rng, cfg.training, cfg.discovered
             )
         else:
             discovered = net.extract(final_choice, rng=rng)
-            train_subnetwork(
-                discovered, train, cfg.discovered.epochs, rng,
-                batch_size=cfg.training.batch_size,
-                lr=cfg.training.learning_rate,
-                weight_decay=cfg.training.weight_decay,
-            )
+            train_subnetwork(discovered, train, cfg.discovered.epochs, rng, cfg.training)
 
         metrics = {
             "format": METRICS_FORMAT,

@@ -3,8 +3,8 @@
 Validation is strict and runs before any compute: unknown keys are hard
 errors, every diagnostic names the offending field, and file references are
 checked for existence up front.  Each section key is declared once, as a
-`_key` field of its section's dataclass, and `_parse` builds any section
-from those fields.
+`_key` field of its section's dataclass; the section checks it when built,
+in code or by `_parse` from a file.
 """
 from __future__ import annotations
 
@@ -81,24 +81,41 @@ def _field_value(section: str, f, v):
     return _value(f"{section}.{f.name}", v, kind, m["lo"], m["hi"], m["choices"])
 
 
-def _parse(cls, raw: dict, section: str):
-    """Build config section `cls` from its JSON object; its `_key` fields are the keys.
+class _Section:
+    """A config section: its `_key` fields are its keys, checked when it is built.
 
-    When some fields belong to certain kinds only, the section's `kind` is
-    checked first, and the keys are the fields that apply to it.
+    A library caller's values meet the same bounds as a config file's, with
+    the same messages.  When some fields belong to certain kinds only, the
+    section's `kind` is checked first, and only the keys of its kind after it.
     """
+
+    _name = ""  # the section's name in a config file and in its messages
+
+    def __post_init__(self):
+        kind = getattr(self, "kind", None)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.metadata and kind in (f.metadata["kinds"] or (kind,)) and not (
+                v is None and f.type.endswith(" | None")
+            ):
+                object.__setattr__(self, f.name, _field_value(self._name, f, v))
+
+
+def _parse(cls, raw: dict):
+    """Build config section `cls` from its JSON object; its `_key` fields are the keys."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{section}: must be an object, got {type(raw).__name__}")
+        raise ConfigError(f"{cls._name}: must be an object, got {type(raw).__name__}")
     keys = {f.name: f for f in fields(cls) if f.metadata}
     if any(f.metadata["kinds"] for f in keys.values()):
-        kind = _field_value(section, keys["kind"], raw.get("kind"))
+        kind = _field_value(cls._name, keys["kind"], raw.get("kind"))
         keys = {n: f for n, f in keys.items() if kind in (f.metadata["kinds"] or (kind,))}
-    _section(raw, section, set(keys), {n for n, f in keys.items() if f.metadata["required"]})
-    return cls(**{n: _field_value(section, keys[n], v) for n, v in raw.items()})
+    _section(raw, cls._name, set(keys), {n for n, f in keys.items() if f.metadata["required"]})
+    return cls(**raw)
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(_Section):
+    _name = "dataset"
     kind: str = _key(choices=("synthetic", "raster"), required=True)
     classes: int = _key(0, lo=2, required=True, kinds=("synthetic",))
     per_class: int = _key(0, lo=2, required=True, kinds=("synthetic",))
@@ -112,7 +129,8 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(_Section):
+    _name = "training"
     epochs: int = _key(40, lo=1)
     batch_size: int = _key(64, lo=1)
     learning_rate: float = _key(0.05, lo=1e-9)
@@ -121,12 +139,13 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Section):
     """One search run: the `search` section's keys, and the seed of its rng.
 
-    A library caller's values are checked against the same bounds as a
-    config file's, with the same messages.  `seed` is not a config key.
+    `seed` is not a config key.
     """
+
+    _name = "search"
 
     samples_per_iteration: int = _key(20, lo=1)  # J
     layers_per_sample: int = _key(3, lo=1)  # L
@@ -139,10 +158,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.metadata and not (v is None and f.type.endswith(" | None")):
-                object.__setattr__(self, f.name, _field_value("search", f, v))
+        super().__post_init__()
+        object.__setattr__(self, "seed", _value("search.seed", self.seed, int, lo=0))
         if (self.target_fraction is None) == (self.target_resource is None):
             raise ConfigError("search: give exactly one of target_fraction or target_resource")
 
@@ -154,7 +171,8 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class CostConfig:
+class CostConfig(_Section):
+    _name = "cost"
     # the latency table's source; the macs metric needs none
     kind: str = _key("synthetic", choices=("synthetic", "file"))
     path: str = _key("")
@@ -162,7 +180,8 @@ class CostConfig:
 
 
 @dataclass(frozen=True)
-class DiscoveredConfig:
+class DiscoveredConfig(_Section):
+    _name = "discovered"
     mode: str = _key("replay", choices=("replay", "scratch"))
     epochs: int = _key(30, lo=1)
     replay_epochs_per_step: int = _key(2, lo=1)
@@ -229,7 +248,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     seed = _value("config.seed", raw["seed"], int, lo=0)
     if seed_override is not None:
         seed = _value("--seed", seed_override, int, lo=0)
-    dataset = _parse(DatasetConfig, raw["dataset"], "dataset")
+    dataset = _parse(DatasetConfig, raw["dataset"])
     if dataset.kind == "raster":
         data_path = Path(dataset.path)
         if not data_path.exists():
@@ -239,16 +258,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             dataset, classes=classes, height=h, width=w, channels=c, path=str(data_path)
         )
     layers = _parse_layers(raw["network"], dataset.channels)
-    training = _parse(TrainingConfig, raw.get("training", {}), "training")
+    training = _parse(TrainingConfig, raw.get("training", {}))
 
-    search = _parse(SearchConfig, raw["search"], "search")
+    search = _parse(SearchConfig, raw["search"])
     if search.layers_per_sample > len(layers):
         raise ConfigError(
             f"search.layers_per_sample: {search.layers_per_sample} exceeds the "
             f"{len(layers)} network layers"
         )
 
-    cost = _parse(CostConfig, raw.get("cost", {}), "cost")
+    cost = _parse(CostConfig, raw.get("cost", {}))
     if cost.kind == "file":
         if not cost.path:
             raise ConfigError("cost.path: required when cost.kind is 'file'")
@@ -266,6 +285,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         training=training,
         search=search,
         cost=cost,
-        discovered=_parse(DiscoveredConfig, raw.get("discovered", {}), "discovered"),
+        discovered=_parse(DiscoveredConfig, raw.get("discovered", {})),
         raw=raw,
     )

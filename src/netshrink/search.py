@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import SearchConfig
+from .config import DiscoveredConfig, SearchConfig, TrainingConfig
 from .cost import total_resource
 from .data import Dataset
 from .errors import (
@@ -464,19 +464,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Generator,
-               batch_size: int, lr: float, weight_decay: float,
+               config: TrainingConfig, lr: float,
                forward: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One epoch of minibatch SGD on `net`; returns the mean batch loss.
+    """One epoch of minibatch SGD on `net` at rate `lr`; returns the mean batch loss.
 
     ``forward(x)`` returns the batch's logits and records the pass that
     ``net.backward`` differentiates.
     """
     losses = []
-    for idx in _batches(len(train), batch_size, rng):
+    for idx in _batches(len(train), config.batch_size, rng):
         net.zero_grad()
         loss, dlogits = T.softmax_cross_entropy(forward(train.images[idx]), train.labels[idx])
         net.backward(dlogits)
-        T.sgd_step(net.parameters(), lr, weight_decay)
+        T.sgd_step(net.parameters(), lr, config.weight_decay)
         losses.append(loss)
     return float(np.mean(losses))
 
@@ -484,12 +484,8 @@ def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Ge
 def train_supernetwork(
     supernet: SuperNetwork,
     train: Dataset,
-    epochs: int,
+    config: TrainingConfig,
     rng: np.random.Generator,
-    batch_size: int = 64,
-    lr: float = 0.05,
-    weight_decay: float = 1e-4,
-    lr_decay: float = 1.0,
     holdout: Dataset | None = None,
 ) -> list[dict]:
     """Joint training of all sub-networks: one forward-backward pass per batch.
@@ -498,8 +494,6 @@ def train_supernetwork(
     grid, independent across layers) and each layer one kernel size drawn
     uniformly from its grid.  Returns one history row per epoch.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
     specs = supernet.specs
 
     def forward(x: np.ndarray) -> np.ndarray:
@@ -511,32 +505,24 @@ def train_supernetwork(
         return supernet.forward_train(x, widths, kernels)
 
     history = []
-    lr_now = lr
-    for epoch in range(epochs):
-        row = {"epoch": epoch, "loss": _sgd_epoch(
-            supernet, train, rng, batch_size, lr_now, weight_decay, forward
-        )}
+    lr = config.learning_rate
+    for epoch in range(config.epochs):
+        row = {"epoch": epoch, "loss": _sgd_epoch(supernet, train, rng, config, lr, forward)}
         if holdout is not None:
             row["holdout_accuracy"] = supernet.evaluate(
                 holdout.images, holdout.labels, supernet.full_choice()
             )
         history.append(row)
-        lr_now *= lr_decay
+        lr *= config.lr_decay
     return history
 
 
 def train_subnetwork(
-    net: SubNetwork,
-    train: Dataset,
-    epochs: int,
-    rng: np.random.Generator,
-    batch_size: int = 64,
-    lr: float = 0.05,
-    weight_decay: float = 1e-4,
+    net: SubNetwork, train: Dataset, epochs: int, rng: np.random.Generator, config: TrainingConfig
 ) -> list[dict]:
     """Plain SGD training of a standalone (extracted or rebuilt) network."""
     return [
-        {"epoch": epoch, "loss": _sgd_epoch(net, train, rng, batch_size, lr, weight_decay,
+        {"epoch": epoch, "loss": _sgd_epoch(net, train, rng, config, config.learning_rate,
                                             lambda x: net.forward(x, record=True))}
         for epoch in range(epochs)
     ]
@@ -547,24 +533,21 @@ def trajectory_replay_finetune(
     choices: Sequence[SubNetChoice],
     train: Dataset,
     rng: np.random.Generator,
-    epochs_per_step: int = 2,
-    final_epochs: int = 20,
-    batch_size: int = 64,
-    lr: float = 0.05,
-    weight_decay: float = 1e-4,
+    config: TrainingConfig,
+    discovered: DiscoveredConfig,
 ) -> SubNetwork:
     """Walk the per-iteration best architectures, reusing overlapping weights.
 
     Starts from the initial architecture with the super-network's (pretrained)
     weights; at every shrink step the surviving slices carry over and the new
-    network trains for `epochs_per_step`; the final architecture then trains
-    for `final_epochs`.
+    network trains for `discovered.replay_epochs_per_step`; the final
+    architecture then trains for `discovered.epochs`.
     """
     if not choices:
         raise ValueError("trajectory must contain at least the initial network")
     net = supernet.extract(choices[0])
     for choice in choices[1:]:
         net = net.shrink_to(choice)
-        train_subnetwork(net, train, epochs_per_step, rng, batch_size, lr, weight_decay)
-    train_subnetwork(net, train, final_epochs, rng, batch_size, lr, weight_decay)
+        train_subnetwork(net, train, discovered.replay_epochs_per_step, rng, config)
+    train_subnetwork(net, train, discovered.epochs, rng, config)
     return net

@@ -117,28 +117,54 @@ class TestConfigValidation:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "section",
+        "name, cls, section",
         [
-            pytest.param({"init_reduction": 0.9995, "target_fraction": 0.5}, id="init-reduction"),
-            pytest.param({"target_resource": 1e-13}, id="tiny-target"),
-            pytest.param({"target_resource": math.nan}, id="nan-target"),
-            pytest.param({"samples_per_iteration": 1.5, "target_fraction": 0.5}, id="fractional-j"),
-            pytest.param({"optimizer": "sgd", "target_fraction": 0.5}, id="optimizer"),
-            pytest.param({"target_fraction": 0.5, "target_resource": 5.0}, id="both-targets"),
-            pytest.param({}, id="no-target"),
+            pytest.param("search", SearchConfig, {"init_reduction": 0.9995, "target_fraction": 0.5},
+                         id="init-reduction"),
+            pytest.param("search", SearchConfig, {"target_resource": 1e-13}, id="tiny-target"),
+            pytest.param("search", SearchConfig, {"target_resource": math.nan}, id="nan-target"),
+            pytest.param("search", SearchConfig,
+                         {"samples_per_iteration": 1.5, "target_fraction": 0.5}, id="fractional-j"),
+            pytest.param("search", SearchConfig, {"optimizer": "sgd", "target_fraction": 0.5},
+                         id="optimizer"),
+            pytest.param("search", SearchConfig, {"target_fraction": 0.5, "target_resource": 5.0},
+                         id="both-targets"),
+            pytest.param("search", SearchConfig, {}, id="no-target"),
+            pytest.param("training", cfgmod.TrainingConfig, {"batch_size": 0}, id="batch-size"),
+            pytest.param("training", cfgmod.TrainingConfig, {"learning_rate": math.nan},
+                         id="nan-learning-rate"),
+            pytest.param("training", cfgmod.TrainingConfig, {"lr_decay": 0}, id="lr-decay"),
+            pytest.param("training", cfgmod.TrainingConfig, {"weight_decay": -1},
+                         id="weight-decay"),
+            pytest.param("training", cfgmod.TrainingConfig, {"epochs": 1.5},
+                         id="fractional-epochs"),
+            pytest.param("discovered", cfgmod.DiscoveredConfig, {"mode": "finetune"},
+                         id="discovered-mode"),
+            pytest.param("discovered", cfgmod.DiscoveredConfig, {"epochs": 0},
+                         id="discovered-epochs"),
+            pytest.param("cost", cfgmod.CostConfig, {"interpolate": 1}, id="interpolate"),
+            pytest.param("dataset", cfgmod.DatasetConfig,
+                         {"kind": "synthetic", "classes": 1, "per_class": 30, "height": 6,
+                          "width": 6}, id="one-class"),
         ],
     )
-    def test_search_config_and_file_share_one_bound(self, tmp_path, section):
+    def test_search_config_and_file_share_one_bound(self, tmp_path, name, cls, section):
+        """Every section, built in code or read from a file, meets one bound and one message."""
         path = write_config(tmp_path / "c.json")
         raw = json.loads(path.read_text())
-        raw["search"] = section
+        raw[name] = section
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError) as from_file:
             load_config(path)
         with pytest.raises(ConfigError) as from_library:
-            SearchConfig(**section)
+            cls(**section)
         assert str(from_library.value) == str(from_file.value)
-        assert str(from_file.value).startswith("search")
+        assert str(from_file.value).startswith(name)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_search_seed_is_checked(self, seed):
+        with pytest.raises(ConfigError, match=r"^search\.seed: "):
+            SearchConfig(target_fraction=0.5, seed=seed)
 
     def test_layers_per_sample_bounded_by_layer_count(self, tmp_path):
         path = write_config(tmp_path / "c.json", search={"layers_per_sample": 5})

@@ -2,11 +2,12 @@
 documented import resolves.
 
 Demos 04 (search walkthrough) and 05 (replay vs scratch) take several
-seconds each and stay out of the tier-1 run; their imports are checked
-without running them.
+seconds each and stay out of the tier-1 run; their imports, and their calls
+of what they import, are checked without running them.
 """
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -45,6 +46,32 @@ def test_demo_imports_resolve(demo):
             for alias in node.names:
                 if not hasattr(module, alias.name):
                     importlib.import_module(f"{node.module}.{alias.name}")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_calls_bind_to_the_current_signatures(demo):
+    """Each call of a name imported from netshrink passes arguments its signature accepts."""
+    tree = ast.parse(demo.read_text())
+    imported = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "netshrink"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(imported.get(node.func.id))):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue  # *args or **kwargs: the arguments are not known statically
+        try:
+            inspect.signature(imported[node.func.id]).bind(
+                *node.args, **{k.arg: None for k in node.keywords}
+            )
+        except TypeError as e:
+            pytest.fail(f"{demo.name}:{node.lineno}: {node.func.id}: {e}")
 
 
 def test_readme_library_sketch_meets_its_target():

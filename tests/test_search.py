@@ -8,6 +8,7 @@ import pytest
 
 from netshrink import search
 from netshrink import tensor as T
+from netshrink.config import DiscoveredConfig, TrainingConfig
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import synth_classification, three_way_split
 from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
@@ -696,7 +697,7 @@ class TestTraining:
         train, holdout, _ = self.separable_data(seed=9)
         checked = check_isolation_every_step(net)
         history = train_supernetwork(
-            net, train, epochs=3, rng=np.random.default_rng(0), batch_size=16,
+            net, train, TrainingConfig(epochs=3, batch_size=16), np.random.default_rng(0),
             holdout=holdout,
         )
         assert history[-1]["loss"] < history[0]["loss"]
@@ -708,7 +709,9 @@ class TestTraining:
         train, _, _ = self.separable_data(seed=10)
         checked = check_isolation_every_step(net)
         # batches of 4 over 7-point width grids: the batch-max width is often below T
-        train_supernetwork(net, train, epochs=2, rng=np.random.default_rng(1), batch_size=4)
+        train_supernetwork(
+            net, train, TrainingConfig(epochs=2, batch_size=4), np.random.default_rng(1)
+        )
         assert len(checked) == 2 * -(-len(train) // 4)
         assert sum(int(w.max(axis=0).min() < 6) for w in checked) > len(checked) // 2
 
@@ -717,8 +720,8 @@ class TestTraining:
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(14))
         train, holdout, test = self.separable_data(seed=11)
         train_supernetwork(
-            net, train, epochs=25, rng=np.random.default_rng(2), batch_size=16,
-            lr=0.08, holdout=holdout,
+            net, train, TrainingConfig(epochs=25, batch_size=16, learning_rate=0.08),
+            np.random.default_rng(2), holdout=holdout,
         )
         acc = net.evaluate(test.images, test.labels, net.full_choice())
         assert acc >= 0.9
@@ -737,13 +740,12 @@ class TestTraining:
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(17))
         train, _, _ = self.separable_data(seed=14)
         one_step = {"conv2d_forward": len(specs), "conv2d_backward": len(specs), "sgd_step": 1}
-        train_supernetwork(
-            net, train, epochs=1, rng=np.random.default_rng(4), batch_size=len(train)
-        )
+        one_batch = TrainingConfig(epochs=1, batch_size=len(train))
+        train_supernetwork(net, train, one_batch, np.random.default_rng(4))
         assert calls == one_step
         calls.clear()
         sub = net.extract(net.full_choice())
-        train_subnetwork(sub, train, epochs=1, rng=np.random.default_rng(5), batch_size=len(train))
+        train_subnetwork(sub, train, 1, np.random.default_rng(5), one_batch)
         assert calls == one_step
 
     @pytest.mark.parametrize("size", range(1, 10))
@@ -763,7 +765,9 @@ class TestTraining:
             specs = small_specs()
             net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(15))
             train, _, _ = self.separable_data(seed=12)
-            train_supernetwork(net, train, epochs=2, rng=np.random.default_rng(3), batch_size=16)
+            train_supernetwork(
+                net, train, TrainingConfig(epochs=2, batch_size=16), np.random.default_rng(3)
+            )
             results.append(np.concatenate([p.value.ravel() for p in net.parameters()]))
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -773,12 +777,13 @@ class TestReplay:
         specs = small_specs()
         train, _, _ = TestTraining().separable_data(seed=13)
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(16))
+        training = TrainingConfig(batch_size=16)
         replayed = trajectory_replay_finetune(
-            net, [net.full_choice()], train, np.random.default_rng(4),
-            epochs_per_step=2, final_epochs=3, batch_size=16,
+            net, [net.full_choice()], train, np.random.default_rng(4), training,
+            DiscoveredConfig(epochs=3, replay_epochs_per_step=2),
         )
         plain = net.extract(net.full_choice())
-        train_subnetwork(plain, train, 3, np.random.default_rng(4), batch_size=16)
+        train_subnetwork(plain, train, 3, np.random.default_rng(4), training)
         for a, b in zip(replayed.parameters(), plain.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
 
@@ -792,8 +797,8 @@ class TestReplay:
             SubNetChoice(((5, 3), (4, 3), (3, 3))),
         ]
         final = trajectory_replay_finetune(
-            net, choices, train, np.random.default_rng(5),
-            epochs_per_step=1, final_epochs=1, batch_size=16,
+            net, choices, train, np.random.default_rng(5), TrainingConfig(batch_size=16),
+            DiscoveredConfig(epochs=1, replay_epochs_per_step=1),
         )
         assert final.choice.key() == choices[-1].key()
         x = train.images[:4]

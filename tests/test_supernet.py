@@ -285,6 +285,28 @@ class TestForwardWithCbc:
                     assert np.all(masked[:, z:] == 0)
 
 
+@st.composite
+def random_stack(draw):
+    """(specs, input size, one grid choice per layer, seed) for a random 2-5 layer stack.
+
+    It reaches shapes that hand-picked stacks miss: one input channel, T < C,
+    stride-2 layers in a row, a removed first layer, odd extents after stride 2.
+    """
+    hw = (draw(st.integers(5, 9)), draw(st.integers(5, 9)))
+    n = draw(st.integers(2, 5))
+    specs, c, e = [], draw(st.integers(1, 5)), min(hw)
+    for i in range(n):
+        # a layer's input extent must be at least its max kernel
+        k_max = draw(st.sampled_from([k for k in (3, 5) if k <= e]))
+        stride = draw(st.sampled_from([1, 2] if i == n - 1 or -(-e // 2) >= 3 else [1]))
+        specs.append(LayerSpec(index=i, c=c, t=draw(st.integers(1, 8)), k_max=k_max, stride=stride))
+        c, e = specs[-1].t, -(-e // stride)
+    pairs = tuple(
+        (draw(st.sampled_from(s.width_grid)), draw(st.sampled_from(s.kernel_grid))) for s in specs
+    )
+    return specs, hw, SubNetChoice(pairs), draw(st.integers(0, 2**16))
+
+
 class TestNetworkForward:
     def mixed_specs(self):
         return [
@@ -315,6 +337,17 @@ class TestNetworkForward:
             net._cache = None
             logits_eval = net.forward_eval(x, choice)
             assert normalized_max_error(logits_train, logits_eval) < 1e-5, choice
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_mask_slice_equivalence_random_stacks(self, case):
+        specs, hw, choice, seed = case
+        net = SuperNetwork(specs, hw, 3, rng=np.random.default_rng(seed))
+        x = np.random.default_rng(seed + 1).standard_normal((3, specs[0].c, *hw)).astype(np.float32)
+        logits_train = net.forward_train(x, np.tile(choice.widths, (len(x), 1)), choice.kernels)
+        net._cache = None
+        logits_eval = net.forward_eval(x, choice)
+        assert normalized_max_error(logits_train, logits_eval) < 1e-5, (specs, choice)
 
     @pytest.mark.parametrize("channels", [2, 4])
     def test_eval_rejects_the_wrong_input_channel_count(self, channels):
