@@ -22,7 +22,10 @@ from . import search as searchmod
 from .config import ExperimentConfig, load_config
 from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table, total_resource
 from .data import Dataset, load_raster, synth_classification, three_way_split
-from .errors import ConfigError, NetshrinkError, ParseError, StateError, read_json, write_atomic
+from .errors import (
+    ConfigError, NetshrinkError, ParseError, StateError, json_number, json_object, read_json,
+    write_atomic,
+)
 from .search import run_search, train_subnetwork, trajectory_replay_finetune
 from .supernet import SuperNetwork, load_architecture, save_architecture
 from . import tensor as T
@@ -286,16 +289,12 @@ def _run_record(path: Path, what: str, numbers: tuple, strings: tuple = ()) -> d
     """A JSON object `report` reads, with finite numbers >= 0 and strings in the named fields."""
     if not path.exists():
         raise ConfigError(f"missing run artifact: {path}")
-    record = read_json(path, what)
-    if not isinstance(record, dict):
-        raise ParseError(f"{what} {path}: must be a JSON object, got {type(record).__name__}")
+    record = json_object(read_json(path, what), f"{what} {path}")
     for field in numbers:
-        value = record.get(field)
-        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
-            raise ParseError(f"{what} {path}: field {field!r} must be a finite number >= 0, got {value!r}")
+        json_number(record.get(field), f"{what} {path} field {field!r}", lo=0)
     for field in strings:
         if type(record.get(field)) is not str:
-            raise ParseError(f"{what} {path}: field {field!r} must be a string, got {record.get(field)!r}")
+            raise ParseError(f"{what} {path} field {field!r}: must be a string, got {record.get(field)!r}")
     return record
 
 
@@ -311,7 +310,9 @@ def cmd_report(args) -> int:
         run_dir / "discovered" / "metrics.json", "metrics",
         ("test_accuracy", "resource", "macs"), ("resource_metric",),
     )
-    total = t_super + t_search + t_disc
+    total = json_number(
+        t_super + t_search + t_disc, f"stage records {run_dir}/*/stage.json field 'seconds', summed"
+    )
     gpu_hours = args.gpu_hours if args.gpu_hours is not None else total / 3600.0
 
     print(f"run report: {run_dir}")

@@ -253,10 +253,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         data_path = Path(dataset.path)
         if not data_path.exists():
             raise ConfigError(f"dataset.path: file not found: {data_path}")
-        n, c, h, w, classes = raster_header(data_path)
-        dataset = replace(
-            dataset, classes=classes, height=h, width=w, channels=c, path=str(data_path)
-        )
+        _, c, h, w, classes = raster_header(data_path)
+        header = {"classes": classes, "channels": c, "height": h, "width": w}
+        for f in fields(DatasetConfig):  # the header meets the synthetic keys' bounds
+            if f.name in header:
+                at = f"dataset.path: {data_path} header field {f.name!r}"
+                _value(at, header[f.name], int, f.metadata["lo"], f.metadata["hi"])
+        dataset = replace(dataset, path=str(data_path), **header)
     layers = _parse_layers(raw["network"], dataset.channels)
     training = _parse(TrainingConfig, raw.get("training", {}))
 

@@ -13,7 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LookupMissError, ParseError, TableError, read_json, write_atomic
+from .errors import (
+    LookupMissError, ParseError, TableError, json_key, json_number, json_object, read_json,
+    write_atomic,
+)
 from .supernet import LayerSpec, SubNetChoice, spatial_flow
 
 LATENCY_TABLE_FORMAT = "netshrink-latency-table-v1"
@@ -151,8 +154,8 @@ class LatencyTable:
     @classmethod
     def load(cls, path: str | Path) -> "LatencyTable":
         """Read a table written by `save`; a ParseError names the path and the bad field."""
-        raw = _object(read_json(path, "latency table"), f"latency table {path}")
-        meta = _object(raw.pop("meta", {}), f"latency table {path} field 'meta'")
+        raw = json_object(read_json(path, "latency table"), f"latency table {path}")
+        meta = json_object(raw.pop("meta", {}), f"latency table {path} field 'meta'")
         if meta.get("format") != LATENCY_TABLE_FORMAT:
             raise ParseError(
                 f"latency table {path}: field 'meta.format' must be "
@@ -161,12 +164,12 @@ class LatencyTable:
         layers: dict[int, dict[int, dict[int, float]]] = {}
         for layer_key, by_k in raw.items():
             at = f"latency table {path} layer {layer_key!r}"
-            layers[_int_key(layer_key, at)] = by_kernel = {}
-            for k_key, by_m in _object(by_k, at).items():
+            layers[json_key(layer_key, at)] = by_kernel = {}
+            for k_key, by_m in json_object(by_k, at).items():
                 at_k = f"{at} kernel {k_key!r}"
-                by_kernel[_int_key(k_key, at_k)] = row = {}
-                for m_key, ms in _object(by_m, at_k).items():
-                    row[_int_key(m_key, at_k)] = _latency(ms, f"{at_k} width {m_key!r}")
+                by_kernel[json_key(k_key, at_k)] = row = {}
+                for m_key, ms in json_object(by_m, at_k).items():
+                    row[json_key(m_key, at_k)] = json_number(ms, f"{at_k} width {m_key!r}")
         interpolate = meta.get("interpolate", False)
         if not isinstance(interpolate, bool):
             raise ParseError(
@@ -179,29 +182,6 @@ class LatencyTable:
             note=meta.get("note", ""),
             interpolate=interpolate,
         )
-
-
-def _object(value, at: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{at}: must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _latency(ms, at: str) -> float:
-    try:
-        value = float(ms) if type(ms) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ParseError(f"{at}: latency must be a finite number, got {ms!r}")
-    return value
-
-
-def _int_key(key: str, at: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise ParseError(f"{at}: key {key!r} is not an integer") from None
 
 
 def synthetic_latency_table(

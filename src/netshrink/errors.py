@@ -1,8 +1,9 @@
-"""Exception types shared across the package, the JSON reader that raises them,
-and the atomic writer every artifact goes through."""
+"""Exception types shared across the package, the JSON reader and field checks
+every artifact loader uses, and the atomic writer every artifact goes through."""
 
 import json
 import os
+import sys
 from pathlib import Path
 
 
@@ -64,6 +65,47 @@ def read_json(path: str | Path, what: str):
         raise ParseError(f"{what} {path} nests JSON arrays or objects too deeply") from None
     except ValueError as e:  # e.g. an integer literal too long to convert
         raise ParseError(f"{what} {path} cannot be parsed: {e}") from None
+
+
+# Checks of the fields `read_json` returns: each returns the checked value or raises
+# ParseError("{at}: must be ..., got ...").  No bool is a number and no float an int.
+
+def json_object(value, at: str) -> dict:
+    if type(value) is not dict:
+        raise ParseError(f"{at}: must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_list(value, at: str) -> list:
+    if type(value) is not list:
+        raise ParseError(f"{at}: must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_int(value, at: str, lo: int | None = None) -> int:
+    if type(value) is not int or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ParseError(f"{at}: must be an integer{bound}, got {value!r}")
+    return value
+
+
+def json_number(value, at: str, lo: float | None = None) -> float:
+    """`value` as a float; an int beyond the float range fails like NaN and infinity."""
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if not finite or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ParseError(f"{at}: must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def json_key(key: str, at: str) -> int:
+    """The integer an object key spells in canonical decimal form: '4' or '-1', not '04' or ' 4'."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ParseError(f"{at}: key must be an integer in canonical decimal form, got {key!r}")
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

@@ -25,7 +25,7 @@ from .config import DiscoveredConfig, SearchConfig, TrainingConfig
 from .cost import total_resource
 from .data import Dataset
 from .errors import (
-    FeasibilityError, GridError, InfeasibleTargetError, ParseError, read_json, write_atomic,
+    FeasibilityError, GridError, InfeasibleTargetError, ParseError, json_list, read_json, write_atomic,
 )
 from .supernet import (
     LayerSpec,
@@ -435,8 +435,8 @@ def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[Su
     Each entry must weakly shrink every layer of the entry before it, as a
     search writes them; replay walks the entries in that order.
     """
-    raw = read_json(path, "trajectory")
-    if not isinstance(raw, list) or not raw:
+    raw = json_list(read_json(path, "trajectory"), f"trajectory {path}")
+    if not raw:
         raise ParseError(f"trajectory {path}: must be a non-empty list of architectures")
     choices = [
         choice_from_rows(rows, supernet.specs, f"trajectory {path} entry {e}")

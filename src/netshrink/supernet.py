@@ -20,7 +20,10 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import GridError, ParseError, ShapeError, StateError, read_json, write_atomic
+from .errors import (
+    GridError, ParseError, ShapeError, StateError, json_int, json_list, json_object, read_json,
+    write_atomic,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +783,6 @@ def _build_subnetwork(
 # architecture files
 # ---------------------------------------------------------------------------
 
-def _int_field(row: dict, field: str, where: str) -> int:
-    value = row.get(field)
-    if type(value) is not int:
-        raise ParseError(f"{where}: field {field!r} must be an integer, got {value!r}")
-    return value
-
-
 def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoice:
     """The validated choice that architecture rows (see `architecture_json`) describe.
 
@@ -794,14 +790,10 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
     skipped.  Any malformed row raises ParseError naming `where`, the row
     index and the field.
     """
-    if not isinstance(rows, list):
-        raise ParseError(f"{where}: must be a list of layer rows, got {type(rows).__name__}")
     pairs = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(json_list(rows, where)):
         at = f"{where} row {r}"
-        if not isinstance(row, dict):
-            raise ParseError(f"{at}: must be an object, got {type(row).__name__}")
-        kind = row.get("kind")
+        kind = json_object(row, at).get("kind")
         if kind not in ("conv", "dense"):
             raise ParseError(f"{at}: field 'kind' must be 'conv' or 'dense', got {kind!r}")
         if kind == "dense":
@@ -809,8 +801,8 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
         if len(pairs) == len(specs):
             raise ParseError(f"{at}: more conv rows than the network's {len(specs)} layers")
         spec = specs[len(pairs)]
-        m = _int_field(row, "M", at)
-        k = _int_field(row, "k", at) if m > 0 else spec.kernel_grid[0]
+        m = json_int(row.get("M"), f"{at}: field 'M'")
+        k = json_int(row.get("k"), f"{at}: field 'k'") if m > 0 else spec.kernel_grid[0]
         try:
             spec.validate_choice(m, k)
         except GridError as e:

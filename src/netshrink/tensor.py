@@ -7,11 +7,12 @@ preserve the dtype they are given so tests can run the same math in float64.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, read_json, write_atomic
+from .errors import ParseError, ShapeError, json_int, json_list, json_object, read_json, write_atomic
 
 DEFAULT_DTYPE = np.float32
 
@@ -302,42 +303,29 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by save_checkpoint. Returns (tensors, meta)."""
-    payload = read_json(path, "checkpoint")
-    if not isinstance(payload, dict):
-        raise ParseError(
-            f"checkpoint {path}: top level must be a JSON object, got {type(payload).__name__}"
-        )
+    """Read a checkpoint written by save_checkpoint. Returns (tensors, meta).
+
+    Each tensor's `data` must be what numpy reads as a flat list of numbers, one per
+    element of its shape.  numpy reads bools mixed with numbers as numbers.
+    """
+    at = f"checkpoint {path}"
+    payload = json_object(read_json(path, "checkpoint"), at)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(
-            f"checkpoint {path}: unknown format {payload.get('format')!r}, "
-            f"expected {CHECKPOINT_FORMAT!r}"
+            f"{at}: unknown format {payload.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
         )
-    entries, meta = payload.get("tensors"), payload.get("meta", {})
-    if not isinstance(entries, dict):
-        raise ParseError(f"checkpoint {path}: field 'tensors' must be an object of named tensors")
-    if not isinstance(meta, dict):
-        raise ParseError(f"checkpoint {path}: field 'meta' must be an object")
+    meta = json_object(payload.get("meta", {}), f"{at} field 'meta'")
     tensors = {}
-    for name, entry in entries.items():
-        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-            raise ParseError(f"checkpoint {path}: tensor {name} needs fields 'shape' and 'data'")
-        shape = entry["shape"]
-        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
-            raise ParseError(
-                f"checkpoint {path}: tensor {name} field 'shape' must be a list of "
-                f"non-negative integers, got {shape!r}"
-            )
+    for name, entry in json_object(payload.get("tensors"), f"{at} field 'tensors'").items():
+        at_t = f"{at}: tensor {name}"
+        at_shape = f"{at_t} field 'shape'"
+        shape = json_list(json_object(entry, at_t).get("shape"), at_shape)
+        shape = [json_int(d, at_shape, lo=0) for d in shape]
         try:
-            data = np.asarray(entry["data"], dtype=DEFAULT_DTYPE)
-        except (TypeError, ValueError) as e:
-            raise ParseError(
-                f"checkpoint {path}: tensor {name} field 'data' is not a list of numbers: {e}"
-            ) from e
-        if data.size != int(np.prod(shape)):
-            raise ParseError(
-                f"checkpoint {path}: tensor {name} has {data.size} values, "
-                f"shape {tuple(shape)} needs {int(np.prod(shape))}"
-            )
-        tensors[name] = data.reshape(shape)
+            data = np.asarray(entry.get("data"))
+        except ValueError:  # lists nested to unequal depths
+            data = np.asarray(None)
+        if data.ndim != 1 or data.dtype.kind not in "if" or data.size != math.prod(shape):
+            raise ParseError(f"{at_t} field 'data': must be a flat list of {math.prod(shape)} numbers")
+        tensors[name] = data.astype(DEFAULT_DTYPE).reshape(shape)
     return tensors, meta

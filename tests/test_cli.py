@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from netshrink.cli import main
 from netshrink import config as cfgmod
 from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
-from netshrink.data import Dataset, save_raster
+from netshrink.data import RASTER_MAGIC, Dataset, save_raster
 from netshrink.errors import ConfigError, NetshrinkError, ParseError
 from netshrink.search import SearchConfig
 from netshrink.supernet import SubNetChoice
@@ -99,6 +100,21 @@ class TestConfigValidation:
             load_config(path)
         assert main(["train-supernet", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, header",
+        [("classes", (4, 2, 6, 6, 1)), ("channels", (4, 0, 6, 6, 3)), ("height", (4, 2, 0, 6, 3))],
+    )
+    def test_raster_header_meets_the_dataset_key_bounds(self, tmp_path, field, header):
+        raster = tmp_path / "data.raster"
+        raster.write_bytes(RASTER_MAGIC + struct.pack("<5I", *header))  # N, C, H, W, classes
+        path = write_config(tmp_path / "c.json")
+        raw = json.loads(path.read_text())
+        raw["dataset"] = {"kind": "raster", "path": str(raster)}
+        path.write_text(json.dumps(raw))
+        where = f"dataset.path: {raster} header field {field!r}: must be >="
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_config(path)
 
     def test_both_targets_rejected(self, tmp_path):
         path = write_config(
@@ -489,9 +505,9 @@ class TestTrainDiscoveredAndReport:
         "flag,payload,field",
         [
             ("--architecture", [{"index": 0, "M": 6, "k": 3}], "row 0: field 'kind'"),
-            ("--architecture", [[6, 3]], "row 0: must be an object"),
+            ("--architecture", [[6, 3]], "row 0: must be a JSON object"),
             ("--architecture", [{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
-            ("--trajectory", {"kind": "conv"}, "must be a non-empty list"),
+            ("--trajectory", {"kind": "conv"}, "must be a list, got dict"),
             (
                 "--trajectory",
                 [[conv_row(4, 3), conv_row(6, 3)], [conv_row(6, 3), conv_row(6, 3)]],
@@ -667,6 +683,23 @@ def missing_width_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
     )
 
 
+def bool_shape_checkpoint_search(tmp_path: Path) -> tuple[list[str], list[str]]:
+    """`search` on a checkpoint whose layer 0 weight is one filter of shape [true, C, K, K]."""
+    cfg = write_config(tmp_path / "c.json")
+    checkpoint = tmp_path / "checkpoint.json"
+    cli._build_supernet(load_config(cfg)).save(checkpoint)
+    payload = json.loads(checkpoint.read_text())
+    weight = payload["tensors"]["layer0.weight"]
+    weight["shape"][0] = True  # the data keeps one filter's values, so its size matches
+    weight["data"] = weight["data"][: math.prod(weight["shape"][1:])]
+    checkpoint.write_text(json.dumps(payload))
+    return (
+        ["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+         "--checkpoint", str(checkpoint)],
+        [str(checkpoint), "tensor layer0.weight field 'shape': must be an integer >= 0, got True"],
+    )
+
+
 def discovered_argv(tmp_path: Path, *flags: str) -> list[str]:
     cfg = write_config(tmp_path / "c.json")
     return ["train-discovered", "--config", str(cfg), "--out", str(tmp_path / "run"), *flags]
@@ -767,6 +800,7 @@ class TestBadInputFailsCleanly:
                 id="cost-file-with-macs-metric",
             ),
             pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
+            pytest.param(bool_shape_checkpoint_search, id="checkpoint-bool-shape"),
             pytest.param(missing_width_table_run, id="latency-table-missing-width"),
             pytest.param(
                 lambda tmp: (discovered_argv(tmp), ["neither --architecture given nor"]),
@@ -888,6 +922,14 @@ class TestReportRecordShapes:
         assert main(["report", "--out", str(run), "--gpu-hours", value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --gpu-hours") and err.count("\n") == 1
+
+    def test_stage_times_summing_past_the_float_range_fail_cleanly(self, tmp_path, capsys):
+        records = {s: {"stage": s, "seconds": 1e308} for s in ("supernet", "search", "discovered")}
+        run = self.run_dir(tmp_path, stage_records=records)
+        assert main(["report", "--out", str(run)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: stage records {run}") and "'seconds'" in err
 
     @pytest.mark.parametrize(
         "record",

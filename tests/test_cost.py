@@ -186,14 +186,27 @@ class TestLatencyTable:
             ({"meta": {"format": "bogus"}}, "field 'meta.format' must be"),
             ({"meta": []}, "field 'meta': must be a JSON object, got list"),
             ({"meta": TABLE_META, "0": [1.0]}, "layer '0': must be a JSON object, got list"),
-            ({"meta": TABLE_META, "x": {}}, "layer 'x': key 'x' is not an integer"),
+            ({"meta": TABLE_META, "x": {}}, "layer 'x': key must be an integer"),
             ({"meta": TABLE_META, "0": {"3": [1.0]}}, "layer '0' kernel '3': must be a JSON object"),
-            ({"meta": TABLE_META, "0": {"k3": {}}}, "kernel 'k3': key 'k3' is not an integer"),
-            ({"meta": TABLE_META, "0": {"3": {"four": 1.0}}}, "kernel '3': key 'four' is not"),
-            ({"meta": TABLE_META, "0": {"3": {"4": "1.5"}}}, "kernel '3' width '4': latency must be"),
-            ({"meta": TABLE_META, "0": {"3": {"4": None}}}, "kernel '3' width '4': latency must be"),
-            ({"meta": TABLE_META, "0": {"3": {"4": float("nan")}}}, "width '4': latency must be"),
-            ({"meta": TABLE_META, "0": {"3": {"4": 10**400}}}, "width '4': latency must be"),
+            ({"meta": TABLE_META, "0": {"k3": {}}}, "kernel 'k3': key must be an integer"),
+            ({"meta": TABLE_META, "0": {"3": {"four": 1.0}}}, "kernel '3': key must be an integer"),
+            ({"meta": TABLE_META, "0": {"3": {"4": "1.5"}}}, "kernel '3' width '4': must be a finite number"),
+            ({"meta": TABLE_META, "0": {"3": {"4": None}}}, "kernel '3' width '4': must be a finite number"),
+            ({"meta": TABLE_META, "0": {"3": {"4": float("nan")}}}, "width '4': must be a finite number"),
+            ({"meta": TABLE_META, "0": {"3": {"4": 10**400}}}, "width '4': must be a finite number"),
+            # keys in canonical decimal form only: "04" would read as a second width 4
+            (
+                {"meta": TABLE_META, "0": {"3": {"4": 1.0, "04": 2.0}}},
+                "kernel '3': key must be an integer in canonical decimal form, got '04'",
+            ),
+            (
+                {"meta": TABLE_META, "0": {"3": {"1_0": 1.0}}},
+                "kernel '3': key must be an integer in canonical decimal form, got '1_0'",
+            ),
+            (
+                {"meta": TABLE_META, "0": {"3": {" 8": 1.0}}},
+                "kernel '3': key must be an integer in canonical decimal form, got ' 8'",
+            ),
         ],
     )
     def test_malformed_table_names_path_and_field(self, tmp_path, payload, field):

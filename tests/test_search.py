@@ -619,9 +619,9 @@ class TestRunSearch:
     @pytest.mark.parametrize(
         "payload,field",
         [
-            ('{"kind": "conv"}', "must be a non-empty list"),
+            ('{"kind": "conv"}', "must be a list, got dict"),
             ("[]", "must be a non-empty list"),
-            ('[{"kind": "conv"}]', "entry 0: must be a list of layer rows"),
+            ('[{"kind": "conv"}]', "entry 0: must be a list, got dict"),
             (
                 '[[{"kind": "conv", "M": 6, "k": 3}, {"kind": "conv", "M": 0, "k": 0}, '
                 '{"kind": "conv", "M": 6, "k": 3}], [{"M": 6}]]',

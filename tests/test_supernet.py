@@ -349,6 +349,39 @@ class TestNetworkForward:
         logits_eval = net.forward_eval(x, choice)
         assert normalized_max_error(logits_train, logits_eval) < 1e-5, (specs, choice)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_gradient_equivalence_random_stacks(self, case):
+        """Criterion 04 over random stacks: at uniform widths the super-network's
+        gradients are the extracted network's on its slices, and exactly 0 elsewhere."""
+        specs, hw, choice, seed = case
+        net = SuperNetwork(specs, hw, 3, rng=np.random.default_rng(seed), dtype=np.float64)
+        sub = net.extract(choice)
+        rng = np.random.default_rng(seed + 1)
+        x = rng.standard_normal((3, specs[0].c, *hw))
+        labels = rng.integers(0, 3, size=3)
+        logits = net.forward_train(x, np.tile(choice.widths, (len(x), 1)), choice.kernels)
+        net.backward(T.softmax_cross_entropy(logits, labels)[1])
+        sub.backward(T.softmax_cross_entropy(sub.forward(x, record=True), labels)[1])
+
+        def assert_grad_on_slice(grad, inside, extracted):
+            if extracted is not None:
+                np.testing.assert_allclose(
+                    grad[inside].reshape(extracted.grad.shape), extracted.grad, rtol=1e-9, atol=1e-12
+                )
+            assert not grad[~inside].any(), (specs, choice)
+
+        flow = channel_flow(specs, choice)
+        for i, ((m, k), layer) in enumerate(zip(choice.pairs, sub.layers)):
+            inside = np.zeros(net.weights[i].grad.shape, bool)
+            prefix_slice(inside, m, flow[i], k)[...] = True
+            assert_grad_on_slice(net.weights[i].grad, inside, layer.weight)
+            assert_grad_on_slice(net.biases[i].grad, np.arange(specs[i].t) < m, layer.bias)
+        inside = np.zeros(net.head_w.grad.shape, bool)
+        inside[:, : flow[-1]] = True
+        assert_grad_on_slice(net.head_w.grad, inside, sub.head_w)
+        np.testing.assert_allclose(net.head_b.grad, sub.head_b.grad, rtol=1e-9, atol=1e-12)
+
     @pytest.mark.parametrize("channels", [2, 4])
     def test_eval_rejects_the_wrong_input_channel_count(self, channels):
         net = toy_net()  # built for 3 input channels
@@ -921,7 +954,7 @@ class TestPersistence:
         [
             ({"kind": "conv"}, "must be a list"),
             ([{"M": 6, "k": 3}], "row 0: field 'kind'"),
-            ([[6, 3]], "row 0: must be an object"),
+            ([[6, 3]], "row 0: must be a JSON object"),
             ([{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
             ([{"kind": "conv", "M": 6, "k": 3}, {"kind": "conv", "M": 6}], "row 1: field 'k'"),
             ([{"kind": "conv", "M": 7, "k": 3}], "row 0: layer 0: width 7"),

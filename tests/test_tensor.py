@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netshrink import tensor as T
-from netshrink.errors import ParseError, ShapeError
+from netshrink.errors import NetshrinkError, ParseError, ShapeError
 
 from reference import (
     finite_difference_grads,
@@ -382,7 +382,7 @@ class TestCheckpoint:
         "payload,match",
         [
             ({"format": T.CHECKPOINT_FORMAT}, "field 'tensors'"),
-            ([1, 2, 3], "top level must be a JSON object"),
+            ([1, 2, 3], ": must be a JSON object, got list"),
             ({"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2]}}}, "tensor w .*'data'"),
             (
                 {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": ["a", "b"]}}},
@@ -393,6 +393,19 @@ class TestCheckpoint:
                 "tensor w field 'shape'",
             ),
             ({"format": T.CHECKPOINT_FORMAT, "tensors": {}, "meta": []}, "field 'meta'"),
+            # a bool is no dimension, a string no number, and the data is one flat list
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [True, 2], "data": [1, 2]}}},
+                "tensor w field 'shape': must be an integer >= 0, got True",
+            ),
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": ["1", "2"]}}},
+                "tensor w field 'data': must be a flat list of 2 numbers",
+            ),
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": [[1, 2]]}}},
+                "tensor w field 'data': must be a flat list of 2 numbers",
+            ),
         ],
     )
     def test_malformed_payload_names_path_and_field(self, tmp_path, payload, match):
@@ -401,3 +414,26 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=match) as exc:
             T.load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.lists(st.integers(0, 3) | st.booleans(), max_size=3),
+        data=st.data(),
+    )
+    def test_only_netshrink_errors_escape_the_checkpoint_loader(self, tmp_path_factory, shape, data):
+        # as many leaves as the shape needs, so the size check passes and the
+        # element and shape checks are what is exercised
+        leaf = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+        leaves = data.draw(st.lists(leaf, min_size=math.prod(shape), max_size=math.prod(shape)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(leaves)), max_size=3)))
+        if cuts:  # nested lists, equal or ragged
+            leaves = [leaves[a:b] for a, b in zip([0, *cuts], [*cuts, len(leaves)])]
+        path = tmp_path_factory.mktemp("fuzz") / "ckpt.json"
+        tensors = {"w": {"shape": shape, "data": leaves}}
+        path.write_text(json.dumps({"format": T.CHECKPOINT_FORMAT, "tensors": tensors}))
+        try:
+            loaded, _ = T.load_checkpoint(path)
+        except NetshrinkError:
+            return
+        assert all(type(d) is int for d in shape)
+        assert loaded["w"].dtype == np.float32 and loaded["w"].shape == tuple(shape)
