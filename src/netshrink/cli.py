@@ -62,10 +62,20 @@ def _lock_holder(lock: Path) -> str:
     )
 
 
+_STAGE_DIRS = {"train-supernet": "supernet", "search": "search", "train-discovered": "discovered"}
+
+
 @contextmanager
-def _run_lock(run_dir: Path):
-    """Hold the run directory's lock; on exit, remove each directory made here and still empty."""
-    made = [d for d in (run_dir, *run_dir.parents) if not d.exists()]  # deepest first
+def _stage(args):
+    """Run one command's stage under the run directory's lock; yields (config, stage directory).
+
+    On a clean exit it writes the stage's `config.json` and `stage.json`, last. On any
+    exit it removes the lock, then each directory made here and still empty.
+    """
+    cfg = load_config(args.config, seed_override=args.seed)
+    run_dir = Path(args.out)
+    stage_dir = run_dir / _STAGE_DIRS[args.command]
+    made = [d for d in (stage_dir, *stage_dir.parents) if not d.exists()]  # deepest first
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -78,7 +88,14 @@ def _run_lock(run_dir: Path):
     os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
     try:
-        yield
+        stage_dir.mkdir(exist_ok=True)
+        started = time.perf_counter()
+        yield cfg, stage_dir
+        seconds = time.perf_counter() - started
+        provenance = {"format": cfgmod.CONFIG_FORMAT, "effective_seed": cfg.seed, "source": cfg.raw}
+        write_atomic(stage_dir / "config.json", json.dumps(provenance, indent=1))
+        record = {"format": STAGE_FORMAT, "stage": args.command, "seconds": seconds, "seed": cfg.seed}
+        write_atomic(stage_dir / "stage.json", json.dumps(record, indent=1))
     finally:
         lock.unlink(missing_ok=True)
         with suppress(OSError):  # not empty: it holds what the command wrote, and so do its parents
@@ -86,22 +103,12 @@ def _run_lock(run_dir: Path):
                 d.rmdir()
 
 
-def _write_provenance(stage_dir: Path, cfg: ExperimentConfig, stage: str, seconds: float) -> None:
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(
-        stage_dir / "config.json",
-        json.dumps(
-            {"format": cfgmod.CONFIG_FORMAT, "effective_seed": cfg.seed, "source": cfg.raw},
-            indent=1,
-        ),
-    )
-    write_atomic(
-        stage_dir / "stage.json",
-        json.dumps(
-            {"format": STAGE_FORMAT, "stage": stage, "seconds": seconds, "seed": cfg.seed},
-            indent=1,
-        ),
-    )
+def _input(given: str | None, default: Path, missing: str) -> str:
+    """The input file a flag names, else the run's own `default`; `missing` formats its absence."""
+    path = given or str(default)
+    if not Path(path).exists():
+        raise ConfigError(missing.format(path))
+    return path
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -159,38 +166,30 @@ def _curve_csv(history: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_train_supernet(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out = Path(args.out)
-    with _run_lock(out):
-        started = time.perf_counter()
+    with _stage(args) as (cfg, stage_dir):
         train, holdout, _ = _splits(cfg)
         net = _build_supernet(cfg)
         history = searchmod.train_supernetwork(
             net, train, cfg.training, np.random.default_rng(cfg.seed + cfgmod.SEED_TRAIN), holdout
         )
-        stage_dir = out / "supernet"
-        stage_dir.mkdir(parents=True, exist_ok=True)
         net.save(stage_dir / "checkpoint.json")
         write_atomic(stage_dir / "training_curve.csv", _curve_csv(history))
-        _write_provenance(stage_dir, cfg, "train-supernet", time.perf_counter() - started)
     final = history[-1]
     print(
         f"trained super-network for {cfg.training.epochs} epochs: "
         f"loss {final['loss']:.4f}, full-width holdout accuracy "
         f"{final.get('holdout_accuracy', float('nan')):.4f}"
     )
-    print(f"checkpoint: {out / 'supernet' / 'checkpoint.json'}")
+    print(f"checkpoint: {stage_dir / 'checkpoint.json'}")
     return 0
 
 
 def cmd_search(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out = Path(args.out)
-    checkpoint = args.checkpoint or str(out / "supernet" / "checkpoint.json")
-    if not Path(checkpoint).exists():
-        raise ConfigError(f"checkpoint not found: {checkpoint}")
-    with _run_lock(out):
-        started = time.perf_counter()
+    with _stage(args) as (cfg, stage_dir):
+        checkpoint = _input(
+            args.checkpoint, stage_dir.parent / "supernet" / "checkpoint.json",
+            "checkpoint not found: {}",
+        )
         _, holdout, _ = _splits(cfg)
         net = _build_supernet(cfg)
         net.load(checkpoint)
@@ -198,44 +197,37 @@ def cmd_search(args) -> int:
             net, _build_cost_model(cfg), replace(cfg.search, seed=cfg.seed + cfgmod.SEED_SEARCH),
             holdout, jobs=args.jobs, progress=print,
         )
-        stage_dir = out / "search"
-        stage_dir.mkdir(parents=True, exist_ok=True)
         searchmod.write_trajectory(stage_dir / "trajectory.json", net, result.trajectory)
         write_atomic(stage_dir / "search_log.csv", searchmod.search_log_csv(result.log_rows))
         save_architecture(
             stage_dir / "discovered_architecture.json",
             net.architecture_json(result.trajectory[-1].choice),
         )
-        _write_provenance(stage_dir, cfg, "search", time.perf_counter() - started)
     initial, final = result.trajectory[0], result.trajectory[-1]
     print(
         f"search met target {cfg.search.target(initial.resource):.6g} ({cfg.search.metric}): "
         f"final resource {final.resource:.6g}, holdout accuracy "
         f"{final.holdout_accuracy:.4f}, {len(result.trajectory) - 1} iterations"
     )
-    print(f"trajectory: {out / 'search' / 'trajectory.json'}")
+    print(f"trajectory: {stage_dir / 'trajectory.json'}")
     return 0
 
 
 def cmd_train_discovered(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out = Path(args.out)
-    trajectory_path = args.trajectory or str(out / "search" / "trajectory.json")
-    architecture_path = args.architecture
-    if architecture_path is None and not Path(trajectory_path).exists():
-        raise ConfigError(
-            f"no architecture input: neither --architecture given nor {trajectory_path} present"
-        )
-    with _run_lock(out):
-        started = time.perf_counter()
+    with _stage(args) as (cfg, stage_dir):
+        run_dir = stage_dir.parent
         net = _build_supernet(cfg)
         mode = cfg.discovered.mode
         # parse the input before the data and cost-model set-up, so a bad file fails fast
-        if architecture_path is not None:
-            choices = [load_architecture(architecture_path, cfg.layers)]
+        if args.architecture is not None:
+            choices = [load_architecture(args.architecture, cfg.layers)]
             mode = "scratch"  # a bare architecture has no trajectory to replay
         else:
-            choices = searchmod.load_trajectory_choices(trajectory_path, net)
+            trajectory = _input(
+                args.trajectory, run_dir / "search" / "trajectory.json",
+                "no architecture input: neither --architecture given nor {} present",
+            )
+            choices = searchmod.load_trajectory_choices(trajectory, net)
         final_choice = choices[-1]
         train, holdout, test = _splits(cfg)
         model = _build_cost_model(cfg)
@@ -243,10 +235,10 @@ def cmd_train_discovered(args) -> int:
         rng = np.random.default_rng(cfg.seed + cfgmod.SEED_DISCOVERED)
 
         if mode == "replay":
-            checkpoint = args.checkpoint or str(out / "supernet" / "checkpoint.json")
-            if not Path(checkpoint).exists():
-                raise ConfigError(f"replay mode needs the super-network checkpoint: {checkpoint}")
-            net.load(checkpoint)
+            net.load(_input(
+                args.checkpoint, run_dir / "supernet" / "checkpoint.json",
+                "replay mode needs the super-network checkpoint: {}",
+            ))
             discovered = trajectory_replay_finetune(
                 net, choices, train, rng, cfg.training, cfg.discovered
             )
@@ -264,8 +256,6 @@ def cmd_train_discovered(args) -> int:
             "macs": total_resource(final_choice, mac_model),
             "epochs": cfg.discovered.epochs,
         }
-        stage_dir = out / "discovered"
-        stage_dir.mkdir(parents=True, exist_ok=True)
         T.save_checkpoint(
             stage_dir / "checkpoint.json",
             discovered.state_dict(),
@@ -275,13 +265,12 @@ def cmd_train_discovered(args) -> int:
             stage_dir / "architecture.json", net.architecture_json(final_choice)
         )
         write_atomic(stage_dir / "metrics.json", json.dumps(metrics, indent=1))
-        _write_provenance(stage_dir, cfg, "train-discovered", time.perf_counter() - started)
     print(
         f"trained discovered network ({mode}): test accuracy "
         f"{metrics['test_accuracy']:.4f}, {cfg.search.metric} {metrics['resource']:.6g}, "
         f"MACs {metrics['macs']:.0f}"
     )
-    print(f"metrics: {out / 'discovered' / 'metrics.json'}")
+    print(f"metrics: {stage_dir / 'metrics.json'}")
     return 0
 
 
@@ -304,7 +293,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.out)
     t_super, t_search, t_disc = (
         _run_record(run_dir / stage / "stage.json", "stage record", ("seconds",))["seconds"]
-        for stage in ("supernet", "search", "discovered")
+        for stage in _STAGE_DIRS.values()
     )
     metrics = _run_record(
         run_dir / "discovered" / "metrics.json", "metrics",

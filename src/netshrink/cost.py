@@ -170,18 +170,15 @@ class LatencyTable:
                 by_kernel[json_key(k_key, at_k)] = row = {}
                 for m_key, ms in json_object(by_m, at_k).items():
                     row[json_key(m_key, at_k)] = json_number(ms, f"{at_k} width {m_key!r}")
-        interpolate = meta.get("interpolate", False)
-        if not isinstance(interpolate, bool):
-            raise ParseError(
-                f"latency table {path}: field 'meta.interpolate' must be true or false, "
-                f"got {interpolate!r}"
-            )
-        return cls(
-            layers,
-            device=meta.get("device", "unknown"),
-            note=meta.get("note", ""),
-            interpolate=interpolate,
-        )
+        fields = {}
+        for field, default in (("device", "unknown"), ("note", ""), ("interpolate", False)):
+            value = fields[field] = meta.get(field, default)
+            if type(value) is not type(default):
+                what = "a string" if type(default) is str else "true or false"
+                raise ParseError(
+                    f"latency table {path}: field 'meta.{field}' must be {what}, got {value!r}"
+                )
+        return cls(layers, **fields)
 
 
 def synthetic_latency_table(

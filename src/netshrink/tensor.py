@@ -306,7 +306,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint. Returns (tensors, meta).
 
     Each tensor's `data` must be what numpy reads as a flat list of numbers, one per
-    element of its shape.  numpy reads bools mixed with numbers as numbers.
+    element of its shape.  numpy reads bools mixed with numbers as numbers.  NaN and
+    +-Infinity load as they are, since a diverged run saves them; a finite value beyond
+    the float32 range is a ParseError, since save_checkpoint never writes one.
     """
     at = f"checkpoint {path}"
     payload = json_object(read_json(path, "checkpoint"), at)
@@ -327,5 +329,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             data = np.asarray(None)
         if data.ndim != 1 or data.dtype.kind not in "if" or data.size != math.prod(shape):
             raise ParseError(f"{at_t} field 'data': must be a flat list of {math.prod(shape)} numbers")
-        tensors[name] = data.astype(DEFAULT_DTYPE).reshape(shape)
+        with np.errstate(over="ignore"):  # a finite value past the float32 range casts to inf
+            value = data.astype(DEFAULT_DTYPE)
+        overflow = np.isinf(value) & np.isfinite(data)
+        if overflow.any():
+            first = float(data[overflow][0])
+            raise ParseError(f"{at_t} field 'data': {first!r} is beyond the float32 range")
+        tensors[name] = value.reshape(shape)
     return tensors, meta

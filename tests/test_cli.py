@@ -995,3 +995,77 @@ class TestAtomicWrites:
         assert offenders == [
             'errors.py: with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:'
         ]
+
+
+def other_network_checkpoint(tmp_path: Path) -> Path:
+    """A checkpoint of a network with other layer widths than `write_config`'s."""
+    cfg = write_config(
+        tmp_path / "other.json",
+        network={"layers": [{"filters": 4, "kernel": 3}, {"filters": 4, "kernel": 3}]},
+    )
+    checkpoint = tmp_path / "other_checkpoint.json"
+    cli._build_supernet(load_config(cfg)).save(checkpoint)
+    return checkpoint
+
+
+class TestStageRunner:
+    """`cli._stage` frames every stage: one lock, one record, one clean-up rule."""
+
+    @pytest.fixture(scope="class")
+    def finished_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("finished")
+        cfg, run = write_config(tmp / "c.json"), tmp / "run"
+        for command in cli._STAGE_DIRS:
+            assert main([command, "--config", str(cfg), "--out", str(run)]) == 0
+        return cfg, run
+
+    @pytest.mark.parametrize("command", list(cli._STAGE_DIRS))
+    def test_each_stage_records_itself_and_the_config(self, finished_run, command):
+        cfg, run = finished_run
+        stage_dir = run / cli._STAGE_DIRS[command]
+        record = json.loads((stage_dir / "stage.json").read_text())
+        assert set(record) == {"format", "stage", "seconds", "seed"}
+        assert record["format"] == cli.STAGE_FORMAT and record["stage"] == command
+        assert record["seconds"] >= 0 and record["seed"] == load_config(cfg).seed
+        provenance = (stage_dir / "config.json").read_bytes()
+        assert provenance == (run / "supernet" / "config.json").read_bytes()
+        assert not (run / ".lock").exists()
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            pytest.param(
+                "train-supernet", lambda tmp: ["--config", str(raster_config(tmp, [0, 1, 3])[0])],
+                id="train-supernet-bad-raster-label",
+            ),
+            pytest.param("search", lambda tmp: ["--jobs", "0"], id="search-jobs-0"),
+            pytest.param(
+                "search", lambda tmp: ["--checkpoint", str(other_network_checkpoint(tmp))],
+                id="search-other-network-checkpoint",
+            ),
+            pytest.param(
+                "train-discovered",
+                lambda tmp: ["--architecture", str(write_raw(tmp / "bad.json", "[{"))],
+                id="train-discovered-malformed-architecture",
+            ),
+        ],
+    )
+    def test_a_failed_stage_leaves_the_run_as_it_found_it(
+        self, finished_run, tmp_path, capsys, command, flags
+    ):
+        cfg, finished = finished_run
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        own = run / cli._STAGE_DIRS[command]
+        shutil.rmtree(own)
+        before = {str(p): sha(p) for p in run.rglob("*") if p.is_file()}
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        # argparse keeps the last --config, so a case may name its own
+        argv = [command, "--config", str(cfg), "--out", str(run), *flags(inputs)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert {str(p): sha(p) for p in run.rglob("*") if p.is_file()} == before
+        assert not (run / ".lock").exists() and not own.exists()

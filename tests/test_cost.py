@@ -89,6 +89,7 @@ class TestInterpolation:
         with pytest.raises(LookupMissError):
             interpolate_latency(self.table, 9, 3)
 
+    @settings(max_examples=100, derandomize=True)
     @given(
         st.lists(st.floats(0.01, 10.0), min_size=3, max_size=6),
         st.integers(0, 100),
@@ -207,6 +208,11 @@ class TestLatencyTable:
                 {"meta": TABLE_META, "0": {"3": {" 8": 1.0}}},
                 "kernel '3': key must be an integer in canonical decimal form, got ' 8'",
             ),
+            ({"meta": {**TABLE_META, "device": [1]}}, "field 'meta.device' must be a string, got [1]"),
+            (
+                {"meta": {**TABLE_META, "note": {"a": 1}}},
+                "field 'meta.note' must be a string, got {'a': 1}",
+            ),
         ],
     )
     def test_malformed_table_names_path_and_field(self, tmp_path, payload, field):
@@ -223,7 +229,7 @@ class TestLatencyTable:
         with pytest.raises(ParseError, match=re.escape(f"latency table {path}: field 'meta.interpolate'")):
             LatencyTable.load(path)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         layers=st.recursive(
             st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=4),

@@ -5,17 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netshrink import search
 from netshrink import tensor as T
 from netshrink.config import DiscoveredConfig, TrainingConfig
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
-from netshrink.data import synth_classification, three_way_split
+from netshrink.data import Dataset, synth_classification, three_way_split
 from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
 from netshrink.search import (
     HoldoutPrefix,
     SampleRecord,
     SearchConfig,
+    evaluate_run,
     evaluate_sample,
     generate_mcd_sample,
     generate_scd_samples,
@@ -38,6 +41,8 @@ from netshrink.search import (
 from netshrink.supernet import (
     LayerSpec, SubNetChoice, SuperNetwork, _score, first_changed_layer, full_width_choice,
 )
+
+from test_supernet import random_stack
 
 
 def small_specs():
@@ -474,6 +479,28 @@ class TestPrefixReuse:
         assert len(calls) == unique + 1
         assert all(len(args) >= 3 and args[2] is holdout for args in calls)
         assert reached == {"forward_eval", "extract"}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack(), data=st.data())
+    def test_any_order_of_a_run_scores_as_from_layer_0_on_random_stacks(self, case, data):
+        specs, hw, choice, seed = case
+        net = SuperNetwork(specs, hw, 3, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        n = data.draw(st.integers(1, 6))
+        holdout = Dataset(
+            rng.standard_normal((n, specs[0].c, *hw)).astype(np.float32), rng.integers(0, 3, n), 3
+        )
+        grid_choice = st.tuples(
+            *(st.tuples(st.sampled_from(s.width_grid), st.sampled_from(s.kernel_grid)) for s in specs)
+        ).map(SubNetChoice)
+        further = data.draw(st.lists(grid_choice, min_size=2, max_size=6))
+        # unique, as a search's runs are, in any order
+        run = data.draw(st.permutations(list(dict.fromkeys([choice, *further]))))
+        full = net.full_choice()
+        inputs = [None] * len(specs)
+        evaluate_sample(net, full, holdout, capture=inputs)
+        scores = evaluate_run(net, run, holdout, HoldoutPrefix(full, inputs))
+        assert scores == [evaluate_sample(net, c, holdout) for c in run], (specs, run)
 
 
 class TestRunSearch:

@@ -120,6 +120,7 @@ class TestOrderedDropout:
         with pytest.raises(GridError):
             ordered_dropout_mask(2, 4)  # a scalar is not a per-image vector
 
+    @settings(max_examples=100, derandomize=True)
     @given(total=st.integers(1, 64), widths=st.lists(st.integers(0, 64), min_size=1, max_size=8))
     def test_prefix_property_and_complement(self, total, widths):
         if max(widths) > total:
@@ -968,7 +969,7 @@ class TestPersistence:
             choice_from_rows(rows, net.specs, "arch.json")
         assert str(info.value).startswith("arch.json")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         rows=st.recursive(
             st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=4)

@@ -112,7 +112,7 @@ class TestConv2d:
         (fd_x,) = finite_difference_grads(loss_x, [xp], h=1e-5)
         assert relative_error(dx, fd_x) < 1e-5
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 3),
         c=st.integers(1, 5),
@@ -406,6 +406,15 @@ class TestCheckpoint:
                 {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": [[1, 2]]}}},
                 "tensor w field 'data': must be a flat list of 2 numbers",
             ),
+            # a finite value that float32 cannot hold; NaN and Infinity load as they are
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2], "data": [1.0, 1e300]}}},
+                r"tensor w field 'data': 1e\+300 is beyond the float32 range",
+            ),
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [1], "data": [-1e39]}}},
+                r"tensor w field 'data': -1e\+39 is beyond the float32 range",
+            ),
         ],
     )
     def test_malformed_payload_names_path_and_field(self, tmp_path, payload, match):
@@ -437,3 +446,12 @@ class TestCheckpoint:
             return
         assert all(type(d) is int for d in shape)
         assert loaded["w"].dtype == np.float32 and loaded["w"].shape == tuple(shape)
+
+    def test_non_finite_values_load_as_they_are(self, tmp_path):
+        """A diverged run saves NaN and +-Infinity, and its checkpoint still loads."""
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "ckpt.json"
+        w = np.array([np.nan, np.inf, -np.inf, top, -top], dtype=np.float32)
+        T.save_checkpoint(path, {"w": w})
+        loaded, _ = T.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded["w"], w)
