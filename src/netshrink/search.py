@@ -261,7 +261,7 @@ def evaluate_run(
     """
     scores = []
     for choice, after in zip(run, run[1:]):
-        stop = first_changed_layer(choice, after) + 1
+        stop = min(first_changed_layer(choice, after), len(choice.pairs) - 1) + 1
         capture = prefix.inputs[:stop]
         capture += [None] * (stop - len(capture))
         scores.append(evaluate_sample(supernet, choice, holdout, prefix, capture))

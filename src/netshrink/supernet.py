@@ -8,7 +8,7 @@ and never reaches zero.  A sub-network slices the first M filters, the first
 C_in inputs and the centered k x k window (`prefix_slice`) into `sliced_layer`.
 Training runs that layer at full width T on the sampled kernel's window under
 per-image ordered-dropout masks plus their bypass complement, so training and
-evaluation compute the same function; one conv backward serves both networks.
+evaluation compute the same function; one layer forward and backward serve both.
 """
 from __future__ import annotations
 
@@ -60,12 +60,12 @@ def bypass_channel_map(c: int, t: int, m: int) -> list[ChannelSource]:
     return sources
 
 
-def ordered_dropout_mask(widths, total: int, dtype=np.float32) -> np.ndarray:
+def ordered_dropout_mask(widths, total: int) -> np.ndarray:
     """Per-image prefix masks [N, total]: row n keeps the first widths[n] channels."""
     widths = np.asarray(widths)
     if widths.ndim != 1 or (widths.size and (widths.min() < 0 or widths.max() > total)):
         raise GridError(f"widths must be a vector in [0, {total}], got {widths}")
-    return (np.arange(total)[None, :] < widths[:, None]).astype(dtype, copy=False)
+    return np.arange(total)[None, :] < widths[:, None]
 
 
 def sample_width_assignments(n: int, width_grid: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -290,22 +290,88 @@ def sliced_layer(
     return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), y
 
 
-def _conv_backward(
-    spec: LayerSpec, weight: T.Parameter, bias: T.Parameter, k: int, dy: np.ndarray,
-    cache: dict, need_dx: bool,
-) -> np.ndarray | None:
-    """Backward of `sliced_layer`'s conv on the first dy.shape[1] filters and k x k taps.
+@dataclass
+class Layer:
+    """One conv layer as both networks run it: width M and kernel k over z_in inputs.
 
-    `dy` is the pre-activation's gradient; `cache` holds the layer's "x" and
-    "cols".  dW accumulates into the `prefix_slice` view of ``weight.grad``,
-    super-network or sub-network.  Returns dx, or None when `need_dx` is False.
+    `weight` and `bias` hold at least the layer's `prefix_slice`: the
+    super-network's full tensors in training, an extracted network's own
+    copies otherwise.  At M = 0 they are None and the layer passes inputs on.
     """
-    x, m = cache["x"], dy.shape[1]
-    w = prefix_slice(weight.value, m, x.shape[1], k)
-    dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
-    grad = prefix_slice(weight.grad, m, x.shape[1], k)
-    grad += dw
-    bias.grad[:m] += dy.sum(axis=(0, 2, 3))
+
+    spec: LayerSpec
+    m: int
+    k: int
+    z_in: int
+    weight: T.Parameter | None
+    bias: T.Parameter | None
+
+
+def _layer_forward(
+    layer: Layer, x: np.ndarray, record: bool, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, dict | None]:
+    """`sliced_layer` on the layer's prefix slices; returns (out, cache or None).
+
+    With `record`, the cache holds what `_layer_backward` reads.  `keep`, a
+    bool ordered-dropout mask [N, M, 1, 1] at full width, masks the output in
+    place and, at stride 1, routes the inputs it drops through: multiplying by
+    a bool is multiplying by 1.0 or 0.0, so this is ``relu(y)*mask + x*(1 - mask)``.
+    """
+    spec, m = layer.spec, layer.m
+    if x.shape[1] != layer.z_in:
+        raise ShapeError(
+            f"layer {spec.index}: expected {layer.z_in} input channels, "
+            f"got {x.shape[1]} on axis 1"
+        )
+    weight = bias = cols = None
+    if m > 0:
+        if record:
+            cols = T.im2col(x, layer.k, spec.stride)
+        weight = prefix_slice(layer.weight.value, m, layer.z_in, layer.k)
+        bias = layer.bias.value[:m]
+    out, y = sliced_layer(spec, x, m, weight, bias, cols)
+    dropped = None
+    if keep is not None:
+        out *= keep  # at full width `out` is relu(y), a fresh array
+        end = spec.bypass_end(layer.z_in)
+        if end:  # at stride 2 even an empty slice of x fails to broadcast against out
+            dropped = ~keep[:, :end]
+            out[:, :end] += x[:, :end] * dropped
+    if not record:
+        return out, None
+    gate = None
+    if y is not None:  # keep & (y > 0): the one product the backward lets dout through
+        gate = y > 0 if keep is None else keep & (y > 0)
+    return out, {"x": x, "cols": cols, "gate": gate, "dropped": dropped}
+
+
+def _layer_backward(layer: Layer, dout: np.ndarray, cache: dict, need_dx: bool) -> np.ndarray | None:
+    """Accumulate the layer's gradients; returns dx, or None when `need_dx` is False.
+
+    dW accumulates into the `prefix_slice` view of ``weight.grad``, so taps
+    and channels outside the layer's window get exactly zero.
+    """
+    spec, m, x = layer.spec, layer.m, cache["x"]
+    dx = None
+    if m > 0:
+        dy = dout[:, :m] * cache["gate"]
+        w = prefix_slice(layer.weight.value, m, layer.z_in, layer.k)
+        dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
+        grad = prefix_slice(layer.weight.grad, m, layer.z_in, layer.k)
+        grad += dw
+        layer.bias.grad[:m] += dy.sum(axis=(0, 2, 3))
+    if not need_dx:
+        return None
+    hi = spec.bypass_end(layer.z_in)
+    if cache["dropped"] is not None:  # the mask's bypass; M = T here, so nothing is sliced
+        dx[:, :hi] += dout[:, :hi] * cache["dropped"]
+        return dx
+    if dx is None:
+        if hi == layer.z_in:
+            return dout  # a pass-through layer
+        dx = np.zeros_like(x)
+    if m < hi:
+        dx[:, m:hi] += dout[:, m:hi]
     return dx
 
 
@@ -324,7 +390,7 @@ def _he_dense(rng: np.random.Generator, classes: int, feat: int, dtype) -> np.nd
 
 
 class _Network:
-    """What the super-network and extracted networks share: the pooled dense head."""
+    """What the super-network and extracted networks share: the layer loops and the head."""
 
     head_w: T.Parameter
     head_b: T.Parameter
@@ -338,6 +404,39 @@ class _Network:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
+
+    def _forward(
+        self, layers: Sequence[Layer], x: np.ndarray, record: bool, start: int = 0,
+        capture: list | None = None, keeps: Sequence[np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Logits of `layers` from layer `start` on `x`; see `SubNetwork.forward`.
+
+        `keeps`, one ordered-dropout mask per layer, is `_layer_forward`'s `keep`.
+        """
+        if record and start:
+            raise StateError("a recorded forward pass starts at layer 0")
+        caches = []
+        out = x
+        for i, layer in enumerate(layers[start:], start):
+            if capture is not None and i < len(capture):
+                capture[i] = out
+            out, cache = _layer_forward(layer, out, record, None if keeps is None else keeps[i])
+            caches.append(cache)
+        logits, head = self._head_forward(out)
+        if record:
+            self._cache = {"layers": layers, "caches": caches, "head": head}
+        return logits
+
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Accumulate parameter gradients for the last recorded forward pass."""
+        if self._cache is None:
+            raise StateError("backward called before a recorded forward pass")
+        cache, self._cache = self._cache, None
+        dout = self._head_backward(dlogits, cache["head"])
+        layers = cache["layers"]
+        for i in reversed(range(len(layers))):
+            need_dx = any(l.m > 0 for l in layers[:i])  # some layer below has weights
+            dout = _layer_backward(layers[i], dout, cache["caches"][i], need_dx)
 
     def _head_forward(self, out: np.ndarray) -> tuple[np.ndarray, dict]:
         """Logits of the last feature map, plus the head's part of the backward cache."""
@@ -426,77 +525,26 @@ class SuperNetwork(_Network):
 
     # -- training: full-size tensors under per-image prefix masks --------------
 
-    def _layer_train(self, index: int, x: np.ndarray, widths: np.ndarray, k: int):
-        """Layer `index` with per-image widths [N] and kernel k; returns (out, cache).
-
-        The full-width sliced layer on the centered k x k window, under the
-        bool ordered-dropout mask `keep` plus, for stride-1 layers, the inputs
-        it drops routed through.  Multiplying by a bool is multiplying by 1.0
-        or 0.0, so this is exactly ``relu(y)*mask + x*(1 - mask)``.  The cache
-        holds ``keep & (y > 0)``, the one gate the backward multiplies by.
-        """
-        spec = self.specs[index]
-        if x.shape[1] != spec.c:
-            raise ShapeError(
-                f"layer {spec.index}: training input axis 1 has {x.shape[1]} "
-                f"channels, spec says {spec.c}"
-            )
-        cols = T.im2col(x, k, spec.stride)
-        weight = prefix_slice(self.weights[index].value, spec.t, spec.c, k)
-        out, y = sliced_layer(spec, x, spec.t, weight, self.biases[index].value, cols)
-        mask = ordered_dropout_mask(widths, spec.t, dtype=bool)
-        keep = mask[:, :, None, None]
-        out *= keep  # at full width `out` is relu(y), a fresh array
-        end = spec.bypass_end(spec.c)
-        dropped = None
-        if end:  # at stride 2 even an empty slice of x fails to broadcast against out
-            dropped = ~keep[:, :end]
-            out[:, :end] += x[:, :end] * dropped
-        cache = {
-            "index": index, "x": x, "cols": cols, "y": y, "k": k, "mask": mask,
-            "gate": keep & (y > 0), "dropped": dropped,
-        }
-        return out, cache
-
-    def _layer_backward(self, dout: np.ndarray, cache: dict) -> np.ndarray | None:
-        """Accumulate layer gradients; returns dx, or None for layer 0 (nothing consumes it)."""
-        index = cache["index"]
-        spec = self.specs[index]
-        dx = _conv_backward(
-            spec, self.weights[index], self.biases[index], cache["k"], dout * cache["gate"],
-            cache, index > 0,
-        )
-        end = spec.bypass_end(spec.c)
-        if dx is not None and end:
-            dx[:, :end] += dout[:, :end] * cache["dropped"]
-        return dx
-
     def forward_train(self, x: np.ndarray, widths: np.ndarray, kernels: Sequence[int]) -> np.ndarray:
-        """Full-size forward with per-image widths [N, L] and per-layer kernels [L]."""
+        """Full-size forward with per-image widths [N, L] and per-layer kernels [L].
+
+        Each layer runs at full width T on its kernel's window under its
+        column of `widths` as an ordered-dropout mask.
+        """
         widths = np.asarray(widths)
         if widths.shape != (x.shape[0], len(self.specs)):
             raise ShapeError(
                 f"widths must be [batch={x.shape[0]}, layers={len(self.specs)}], "
                 f"got {widths.shape}"
             )
-        caches = []
-        out = x
-        for i in range(len(self.specs)):
-            out, cache = self._layer_train(i, out, widths[:, i], kernels[i])
-            caches.append(cache)
-        logits, head = self._head_forward(out)
-        self._cache = {"caches": caches, "head": head}
-        return logits
+        layers, keeps = [], []
+        for i, s in enumerate(self.specs):
+            layers.append(Layer(s, s.t, kernels[i], s.c, self.weights[i], self.biases[i]))
+            keeps.append(ordered_dropout_mask(widths[:, i], s.t)[:, :, None, None])
+        return self._forward(layers, x, True, keeps=keeps)
 
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the last recorded forward pass."""
-        if self._cache is None:
-            raise StateError("backward called before forward_train recorded a pass")
-        cache = self._cache
-        self._cache = None
-        dout = self._head_backward(dlogits, cache["head"])
-        for layer_cache in reversed(cache["caches"]):
-            dout = self._layer_backward(dout, layer_cache)
+    # bench/bench_trace.py traces the training backward through this class's own namespace
+    backward = _Network.backward
 
     # -- evaluation: the extracted sub-network ----------------------------------
 
@@ -611,22 +659,10 @@ class SuperNetwork(_Network):
 # standalone extracted networks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalLayer:
-    """One layer of an extracted sub-network; at M = 0 it has no weights and passes inputs on."""
-
-    spec: LayerSpec
-    m: int
-    k: int
-    z_in: int
-    weight: T.Parameter | None
-    bias: T.Parameter | None
-
-
 class SubNetwork(_Network):
     """A discovered architecture with its own weights; ``layers[i]`` is spec layer i."""
 
-    def __init__(self, layers: list[EvalLayer], head_w: T.Parameter, head_b: T.Parameter):
+    def __init__(self, layers: list[Layer], head_w: T.Parameter, head_b: T.Parameter):
         self.layers = layers
         self.head_w = head_w
         self.head_b = head_b
@@ -646,70 +682,13 @@ class SubNetwork(_Network):
     def forward(
         self, x: np.ndarray, record: bool = False, start: int = 0, capture: list | None = None
     ) -> np.ndarray:
-        """Logits; with `record`, keeps each layer's input, pre-activation and im2col columns.
+        """Logits; with `record`, keeps each layer's input, ReLU gate and im2col columns.
 
         `x` is the input of layer `start`; the layers below it do not run.
         `capture`, a list indexed by layer, receives the input of every layer
         from `start` up to its length.
         """
-        if record and start:
-            raise StateError("a recorded forward pass starts at layer 0")
-        caches = []
-        out = x
-        for i, layer in enumerate(self.layers[start:], start):
-            if capture is not None and i < len(capture):
-                capture[i] = out
-            if out.shape[1] != layer.z_in:
-                raise ShapeError(
-                    f"layer {layer.spec.index}: expected {layer.z_in} input channels, "
-                    f"got {out.shape[1]} on axis 1"
-                )
-            weight = bias = cols = None
-            if layer.m > 0:
-                weight, bias = layer.weight.value, layer.bias.value
-                if record:
-                    cols = T.im2col(out, layer.k, layer.spec.stride)
-            nxt, y = sliced_layer(layer.spec, out, layer.m, weight, bias, cols)
-            if record:
-                caches.append({"x": out, "y": y, "cols": cols})
-            out = nxt
-        logits, head = self._head_forward(out)
-        if record:
-            self._cache = {"caches": caches, "head": head}
-        return logits
-
-    def backward(self, dlogits: np.ndarray) -> None:
-        if self._cache is None:
-            raise StateError("backward called before a recorded forward pass")
-        cache = self._cache
-        self._cache = None
-        dout = self._head_backward(dlogits, cache["head"])
-        for i in reversed(range(len(self.layers))):
-            need_dx = any(l.m > 0 for l in self.layers[:i])  # some layer below has weights
-            dout = self._layer_backward(self.layers[i], dout, cache["caches"][i], need_dx)
-
-    def _layer_backward(
-        self, layer: EvalLayer, dout: np.ndarray, lc: dict, need_dx: bool
-    ) -> np.ndarray | None:
-        """Accumulate layer gradients; returns dx, or None when `need_dx` is False."""
-        spec = layer.spec
-        x = lc["x"]
-        dx = None
-        if layer.m > 0:
-            dx = _conv_backward(
-                spec, layer.weight, layer.bias, layer.k, dout[:, : layer.m] * (lc["y"] > 0),
-                lc, need_dx,
-            )
-        if not need_dx:
-            return None
-        hi = spec.bypass_end(x.shape[1])
-        if dx is None:
-            if hi == x.shape[1]:
-                return dout  # a pass-through layer
-            dx = np.zeros_like(x)
-        if layer.m < hi:
-            dx[:, layer.m : hi] += dout[:, layer.m : hi]
-        return dx
+        return self._forward(self.layers, x, record, start, capture)
 
     def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
         """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
@@ -770,7 +749,7 @@ def _build_subnetwork(
             w, b = layer_source(spec.index, m, k, z_in)
             weight = T.Parameter(prefix_slice(w, m, z_in, k).copy(), f"layer{spec.index}.weight")
             bias = T.Parameter(b[:m].copy(), f"layer{spec.index}.bias")
-        layers.append(EvalLayer(spec, m, k if m > 0 else 0, z_in, weight, bias))
+        layers.append(Layer(spec, m, k if m > 0 else 0, z_in, weight, bias))
     head_w, head_b = head_source(flow[-1])
     return SubNetwork(
         layers,

@@ -494,8 +494,10 @@ class TestPrefixReuse:
             *(st.tuples(st.sampled_from(s.width_grid), st.sampled_from(s.kernel_grid)) for s in specs)
         ).map(SubNetChoice)
         further = data.draw(st.lists(grid_choice, min_size=2, max_size=6))
-        # unique, as a search's runs are, in any order
+        # unique, as a search's runs are, in any order; then one choice twice in a row
         run = data.draw(st.permutations(list(dict.fromkeys([choice, *further]))))
+        j = data.draw(st.integers(0, len(run) - 1))
+        run = [*run[: j + 1], *run[j:]]
         full = net.full_choice()
         inputs = [None] * len(specs)
         evaluate_sample(net, full, holdout, capture=inputs)

@@ -9,9 +9,11 @@ from netshrink import tensor as T
 from netshrink.errors import GridError, NetshrinkError, ParseError, ShapeError, StateError
 from netshrink.supernet import (
     ChannelSource,
+    Layer,
     LayerSpec,
     SubNetChoice,
     SuperNetwork,
+    _layer_forward,
     bypass_channel_map,
     cbc_output_channels,
     channel_flow,
@@ -110,7 +112,7 @@ class TestOrderedDropout:
         )
         assert ordered_dropout_mask([0], 4).sum() == 0
         assert ordered_dropout_mask([4], 4).sum() == 4
-        assert ordered_dropout_mask([2], 4, dtype=np.float64).dtype == np.float64
+        assert ordered_dropout_mask([2], 4).dtype == bool
 
     def test_width_beyond_total_rejected(self):
         with pytest.raises(GridError):
@@ -200,7 +202,7 @@ class TestSuperkernel:
         masked = T.relu(
             T.conv2d_forward(x, w * taps, stride=1) + net.biases[0].value[None, :, None, None]
         )
-        cropped, cache = net._layer_train(0, x, np.full(2, spec.t), k)
+        cropped, cache = train_layer(net, 0, x, spec.t, k)
         assert cache["cols"].shape == (3 * k * k, 2 * 8 * (8 + k - 1))  # [C*k*k, N*H_out*Wq]
         assert normalized_max_error(masked, cropped) < 1e-6
 
@@ -242,8 +244,11 @@ def eval_layer(net, li, x, m, k):
 
 
 def train_layer(net, li, x, m, k):
-    """Layer li in training mode, every image at width m."""
-    return net._layer_train(li, x, np.full(x.shape[0], m), k)[0]
+    """Layer li in training mode, every image at width m; returns (out, cache)."""
+    spec = net.specs[li]
+    keep = ordered_dropout_mask(np.full(x.shape[0], m), spec.t)[:, :, None, None]
+    layer = Layer(spec, spec.t, k, spec.c, net.weights[li], net.biases[li])
+    return _layer_forward(layer, x, True, keep)
 
 
 class TestForwardWithCbc:
@@ -252,7 +257,7 @@ class TestForwardWithCbc:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(eval_layer(net, 1, x, 0, 5), x)  # C = T = 6 here
-        np.testing.assert_array_equal(train_layer(net, 1, x, 0, 5), x)
+        np.testing.assert_array_equal(train_layer(net, 1, x, 0, 5)[0], x)
 
     def test_width_zero_truncates_to_bypass_cap(self):
         net = toy_net()
@@ -279,7 +284,7 @@ class TestForwardWithCbc:
             x = rng.standard_normal((3, spec.c, 6, 6)).astype(np.float32)
             for m in spec.width_grid:
                 for k in spec.kernel_grid:
-                    masked = train_layer(net, li, x, m, k)
+                    masked = train_layer(net, li, x, m, k)[0]
                     sliced = eval_layer(net, li, x, m, k)
                     z = sliced.shape[1]
                     assert normalized_max_error(masked[:, :z], sliced) < 1e-5
@@ -382,6 +387,30 @@ class TestNetworkForward:
         inside[:, : flow[-1]] = True
         assert_grad_on_slice(net.head_w.grad, inside, sub.head_w)
         np.testing.assert_allclose(net.head_b.grad, sub.head_b.grad, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_full_width_training_step_is_bitwise_the_extracted_networks(self, case):
+        """Both network kinds run one layer: a float32 step at full width, every
+        layer at its drawn kernel, gives the same logits and gradients bit for bit."""
+        specs, hw, choice, seed = case
+        net = SuperNetwork(specs, hw, 3, rng=np.random.default_rng(seed))
+        full = SubNetChoice(tuple((s.t, k) for s, k in zip(specs, choice.kernels)))
+        sub = net.extract(full)
+        rng = np.random.default_rng(seed + 1)
+        x = rng.standard_normal((3, specs[0].c, *hw)).astype(np.float32)
+        labels = rng.integers(0, 3, size=3)
+        logits = net.forward_train(x, np.tile(full.widths, (len(x), 1)), full.kernels)
+        net.backward(T.softmax_cross_entropy(logits, labels)[1])
+        sub_logits = sub.forward(x, record=True)
+        sub.backward(T.softmax_cross_entropy(sub_logits, labels)[1])
+        np.testing.assert_array_equal(logits, sub_logits)
+        for i, (s, layer) in enumerate(zip(specs, sub.layers)):
+            window = prefix_slice(net.weights[i].grad, s.t, s.c, layer.k)
+            np.testing.assert_array_equal(window, layer.weight.grad, err_msg=f"layer {i}")
+            np.testing.assert_array_equal(net.biases[i].grad, layer.bias.grad, err_msg=f"layer {i}")
+        np.testing.assert_array_equal(net.head_w.grad, sub.head_w.grad)
+        np.testing.assert_array_equal(net.head_b.grad, sub.head_b.grad)
 
     @pytest.mark.parametrize("channels", [2, 4])
     def test_eval_rejects_the_wrong_input_channel_count(self, channels):
@@ -526,7 +555,11 @@ class TestGradients:
         logits = net.forward_train(x, widths, kernels)
         # central differences are only exact away from the ReLU kink: every kept
         # pre-activation must sit well beyond what a 1e-3 weight step can move
-        kept = [lc["y"][lc["mask"] > 0] for lc in net._cache["caches"]]
+        kept = []
+        for i, (spec, lc) in enumerate(zip(specs, net._cache["caches"])):
+            w = prefix_slice(net.weights[i].value, spec.t, spec.c, kernels[i])
+            y = sliced_layer(spec, lc["x"], spec.t, w, net.biases[i].value)[1]
+            kept.append(y[ordered_dropout_mask(widths[:, i], spec.t)])
         assert min(np.abs(y).min() for y in kept) > 4e-3
         _, dlogits = T.softmax_cross_entropy(logits, labels)
         net.backward(dlogits)
