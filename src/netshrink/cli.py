@@ -7,7 +7,6 @@ commands never clobber each other's outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -24,10 +23,10 @@ from .cost import LatencyTable, MacModel, co2_estimate, synthetic_latency_table,
 from .data import Dataset, load_raster, synth_classification, three_way_split
 from .errors import (
     ConfigError, NetshrinkError, ParseError, StateError, json_number, json_object, read_json,
-    write_atomic,
+    tagged_csv, write_atomic, write_json,
 )
 from .search import run_search, train_subnetwork, trajectory_replay_finetune
-from .supernet import SuperNetwork, load_architecture, save_architecture
+from .supernet import SuperNetwork, load_architecture
 from . import tensor as T
 
 STAGE_FORMAT = "netshrink-stage-v1"
@@ -93,9 +92,9 @@ def _stage(args):
         yield cfg, stage_dir
         seconds = time.perf_counter() - started
         provenance = {"format": cfgmod.CONFIG_FORMAT, "effective_seed": cfg.seed, "source": cfg.raw}
-        write_atomic(stage_dir / "config.json", json.dumps(provenance, indent=1))
+        write_json(stage_dir / "config.json", provenance)
         record = {"format": STAGE_FORMAT, "stage": args.command, "seconds": seconds, "seed": cfg.seed}
-        write_atomic(stage_dir / "stage.json", json.dumps(record, indent=1))
+        write_json(stage_dir / "stage.json", record)
     finally:
         lock.unlink(missing_ok=True)
         with suppress(OSError):  # not empty: it holds what the command wrote, and so do its parents
@@ -151,16 +150,6 @@ def _build_cost_model(cfg: ExperimentConfig):
     return table
 
 
-def _curve_csv(history: list[dict]) -> str:
-    lines = [f"# {CURVE_FORMAT}", "epoch,loss,holdout_accuracy"]
-    for row in history:
-        acc = row.get("holdout_accuracy")
-        lines.append(
-            f"{row['epoch']},{float(row['loss'])!r},{'' if acc is None else repr(float(acc))}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -173,7 +162,10 @@ def cmd_train_supernet(args) -> int:
             net, train, cfg.training, np.random.default_rng(cfg.seed + cfgmod.SEED_TRAIN), holdout
         )
         net.save(stage_dir / "checkpoint.json")
-        write_atomic(stage_dir / "training_curve.csv", _curve_csv(history))
+        write_atomic(stage_dir / "training_curve.csv", tagged_csv(
+            CURVE_FORMAT, ("epoch", "loss", "holdout_accuracy"),
+            ((row["epoch"], row["loss"], row.get("holdout_accuracy")) for row in history),
+        ))
     final = history[-1]
     print(
         f"trained super-network for {cfg.training.epochs} epochs: "
@@ -199,7 +191,7 @@ def cmd_search(args) -> int:
         )
         searchmod.write_trajectory(stage_dir / "trajectory.json", net, result.trajectory)
         write_atomic(stage_dir / "search_log.csv", searchmod.search_log_csv(result.log_rows))
-        save_architecture(
+        write_json(
             stage_dir / "discovered_architecture.json",
             net.architecture_json(result.trajectory[-1].choice),
         )
@@ -261,10 +253,8 @@ def cmd_train_discovered(args) -> int:
             discovered.state_dict(),
             meta={"choice": [list(p) for p in final_choice.pairs]},
         )
-        save_architecture(
-            stage_dir / "architecture.json", net.architecture_json(final_choice)
-        )
-        write_atomic(stage_dir / "metrics.json", json.dumps(metrics, indent=1))
+        write_json(stage_dir / "architecture.json", net.architecture_json(final_choice))
+        write_json(stage_dir / "metrics.json", metrics)
     print(
         f"trained discovered network ({mode}): test accuracy "
         f"{metrics['test_accuracy']:.4f}, {cfg.search.metric} {metrics['resource']:.6g}, "

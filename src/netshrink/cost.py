@@ -6,7 +6,6 @@ sum of per-layer values, so the search can budget reductions additively.
 """
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Sequence
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import (
     LookupMissError, ParseError, TableError, json_key, json_number, json_object, read_json,
-    write_atomic,
+    write_json,
 )
 from .supernet import LayerSpec, SubNetChoice, spatial_flow
 
@@ -131,8 +130,8 @@ class LatencyTable:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
+    def save(self, path: str | Path) -> None:
+        write_json(path, {
             "meta": {
                 "format": LATENCY_TABLE_FORMAT,
                 "device": self.device,
@@ -146,10 +145,7 @@ class LatencyTable:
                 }
                 for layer, by_k in sorted(self.layers.items())
             },
-        }
-
-    def save(self, path: str | Path) -> None:
-        write_atomic(path, json.dumps(self.to_json(), indent=1))
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "LatencyTable":

@@ -1,9 +1,12 @@
 """Exception types shared across the package, the JSON reader and field checks
-every artifact loader uses, and the atomic writer every artifact goes through."""
+every artifact loader uses, the atomic writer every artifact goes through, and
+the one writer of each text format: indented JSON and tagged CSV."""
 
 import json
+import numbers
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 
@@ -124,3 +127,21 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` atomically as one-space-indented JSON, the format of every artifact but checkpoints."""
+    write_atomic(path, json.dumps(obj, indent=1))
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    # an integer (numpy's too) in decimal; any other number as a Python float, never np.float64(...)
+    return str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
+
+
+def tagged_csv(tag: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: a `# tag` line, the header, then one line per row, each ending in a newline."""
+    lines = [f"# {tag}", ",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,6 @@ lower holdout cross-entropy, then to the lower resource.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -25,7 +22,8 @@ from .config import DiscoveredConfig, SearchConfig, TrainingConfig
 from .cost import total_resource
 from .data import Dataset
 from .errors import (
-    FeasibilityError, GridError, InfeasibleTargetError, ParseError, json_list, read_json, write_atomic,
+    FeasibilityError, GridError, InfeasibleTargetError, ParseError, json_list, read_json, tagged_csv,
+    write_json,
 )
 from .supernet import (
     LayerSpec,
@@ -402,31 +400,16 @@ def run_search(
 # ---------------------------------------------------------------------------
 
 def search_log_csv(rows: Sequence[SampleRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {SEARCH_LOG_FORMAT}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["iteration", "sample_id", "resource", "accuracy", "loss", "chosen", "duplicate_of"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                r.iteration,
-                r.sample_id,
-                repr(float(r.resource)),
-                repr(float(r.holdout_accuracy)),
-                repr(float(r.loss)),
-                r.chosen,
-                "" if r.duplicate_of is None else r.duplicate_of,
-            ]
-        )
-    return buf.getvalue()
+    header = ("iteration", "sample_id", "resource", "accuracy", "loss", "chosen", "duplicate_of")
+    return tagged_csv(SEARCH_LOG_FORMAT, header, (
+        (r.iteration, r.sample_id, r.resource, r.holdout_accuracy, r.loss, r.chosen, r.duplicate_of)
+        for r in rows
+    ))
 
 
 def write_trajectory(path: str | Path, supernet: SuperNetwork, trajectory: Sequence[SampleRecord]) -> None:
     """JSON list of architecture JSONs, initial network first."""
-    rows = [supernet.architecture_json(rec.choice) for rec in trajectory]
-    write_atomic(path, json.dumps(rows, indent=1))
+    write_json(path, [supernet.architecture_json(rec.choice) for rec in trajectory])
 
 
 def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[SubNetChoice]:

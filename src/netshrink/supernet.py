@@ -12,7 +12,6 @@ evaluation compute the same function; one layer forward and backward serve both.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, NamedTuple, Sequence
@@ -22,7 +21,6 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     GridError, ParseError, ShapeError, StateError, json_int, json_list, json_object, read_json,
-    write_atomic,
 )
 
 
@@ -537,6 +535,8 @@ class SuperNetwork(_Network):
                 f"widths must be [batch={x.shape[0]}, layers={len(self.specs)}], "
                 f"got {widths.shape}"
             )
+        if len(kernels) != len(self.specs):
+            raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
         layers, keeps = [], []
         for i, s in enumerate(self.specs):
             layers.append(Layer(s, s.t, kernels[i], s.c, self.weights[i], self.biases[i]))
@@ -766,8 +766,9 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
     """The validated choice that architecture rows (see `architecture_json`) describe.
 
     Conv rows give each layer's (M, k), in order; the dense head row is
-    skipped.  Any malformed row raises ParseError naming `where`, the row
-    index and the field.
+    skipped.  A conv row's optional C, T and stride must equal the layer's.
+    Any malformed row raises ParseError naming `where`, the row index and the
+    field.
     """
     pairs = []
     for r, row in enumerate(json_list(rows, where)):
@@ -780,6 +781,11 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
         if len(pairs) == len(specs):
             raise ParseError(f"{at}: more conv rows than the network's {len(specs)} layers")
         spec = specs[len(pairs)]
+        for field, value in (("C", spec.c), ("T", spec.t), ("stride", spec.stride)):
+            if field in row and json_int(row[field], f"{at}: field {field!r}") != value:
+                raise ParseError(
+                    f"{at}: field {field!r} is {row[field]}, the network's layer {spec.index} has {value}"
+                )
         m = json_int(row.get("M"), f"{at}: field 'M'")
         k = json_int(row.get("k"), f"{at}: field 'k'") if m > 0 else spec.kernel_grid[0]
         try:
@@ -790,10 +796,6 @@ def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoi
     if len(pairs) != len(specs):
         raise ParseError(f"{where}: {len(pairs)} conv rows, the network has {len(specs)} layers")
     return SubNetChoice(tuple(pairs))
-
-
-def save_architecture(path: str | Path, rows: list[dict]) -> None:
-    write_atomic(path, json.dumps(rows, indent=1))
 
 
 def load_architecture(path: str | Path, specs: Sequence[LayerSpec]) -> SubNetChoice:

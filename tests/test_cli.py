@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -950,15 +951,15 @@ class TestAtomicWrites:
     def _writers():
         from netshrink.cost import synthetic_latency_table
         from netshrink.data import Dataset, save_raster
-        from netshrink.errors import write_atomic
-        from netshrink.supernet import LayerSpec, save_architecture
+        from netshrink.errors import write_atomic, write_json
+        from netshrink.supernet import LayerSpec
 
         layers = [LayerSpec(index=0, c=2, t=4, k_max=3, stride=1)]
         images = np.zeros((2, 1, 3, 3), dtype=np.float32)
         return {
             "checkpoint": lambda p: T.save_checkpoint(p, {"w": np.ones((2, 3))}, meta={"a": 1}),
             "latency-table": lambda p: synthetic_latency_table(layers, (6, 6), seed=1).save(p),
-            "architecture": lambda p: save_architecture(p, [{"kind": "dense"}]),
+            "architecture": lambda p: write_json(p, [{"kind": "dense"}]),
             "raster": lambda p: save_raster(p, Dataset(images, np.zeros(2, dtype=np.int64), 2)),
             "text": lambda p: write_atomic(p, "new text\n"),
         }
@@ -995,6 +996,27 @@ class TestAtomicWrites:
         assert offenders == [
             'errors.py: with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:'
         ]
+
+    def test_one_writer_per_text_format(self):
+        # JSON artifacts go through errors.write_json (checkpoints through tensor's own
+        # compact encoder) and CSV artifacts through errors.tagged_csv
+        offenders = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                dumps = (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps")
+                )
+                if dumps and path.name not in ("errors.py", "tensor.py"):
+                    offenders.append(f"{path.name}:{node.lineno}: json.{node.func.attr}")
+                imported = (
+                    [a.name for a in node.names] if isinstance(node, ast.Import)
+                    else [node.module] if isinstance(node, ast.ImportFrom) else []
+                )
+                if "csv" in imported:
+                    offenders.append(f"{path.name}:{node.lineno}: import csv")
+        assert offenders == []
 
 
 def other_network_checkpoint(tmp_path: Path) -> Path:

@@ -13,7 +13,7 @@ from netshrink import tensor as T
 from netshrink.config import DiscoveredConfig, TrainingConfig
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
 from netshrink.data import Dataset, synth_classification, three_way_split
-from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError
+from netshrink.errors import FeasibilityError, GridError, InfeasibleTargetError, ParseError, tagged_csv
 from netshrink.search import (
     HoldoutPrefix,
     SampleRecord,
@@ -846,3 +846,21 @@ class TestLogFormat:
         assert lines[1] == "iteration,sample_id,resource,accuracy,loss,chosen,duplicate_of"
         assert lines[2] == "0,0,3.25,0.5,0.75,1,"
         assert lines[3] == "0,1,3.0,0.5,0.75,0,0"
+        # nan, an integral float, and numpy floats all print as Python floats
+        one = SubNetChoice(((1, 3),))
+        rows = [
+            SampleRecord(1, 0, one, 25920.0, 0.5, float("nan")),
+            SampleRecord(1, 1, one, np.float64(0.1), np.float64(1.0), np.float64(2.5), chosen=1),
+            SampleRecord(1, 2, one, np.float32(0.1), np.float32(0.5), np.float32(1.25), duplicate_of=1),
+        ]
+        assert search_log_csv(rows).split("\n")[2:] == [
+            "1,0,25920.0,0.5,nan,0,",
+            "1,1,0.1,1.0,2.5,1,",
+            "1,2,0.10000000149011612,0.5,1.25,0,1",
+            "",
+        ]
+        # a training-curve epoch without a holdout accuracy ends in an empty cell
+        curve = [(np.int64(0), np.float32(0.75), None), (1, 0.5, np.float64(0.875))]
+        assert tagged_csv("netshrink-training-curve-v1", ("epoch", "loss", "holdout_accuracy"), curve) == (
+            "# netshrink-training-curve-v1\nepoch,loss,holdout_accuracy\n0,0.75,\n1,0.5,0.875\n"
+        )

@@ -421,6 +421,20 @@ class TestNetworkForward:
             with pytest.raises(ShapeError, match="axis 1"):
                 net.forward_eval(x, SubNetChoice(pairs))
 
+    @pytest.mark.parametrize(
+        "widths_shape,kernels,message",
+        [
+            ((2, 2), [3, 3, 3], r"widths must be \[batch=2, layers=3\], got \(2, 2\)"),
+            ((2, 3), [3, 3], r"kernels must be \[layers=3\], got 2 entries"),
+            ((2, 3), [3, 3, 3, 3], r"kernels must be \[layers=3\], got 4 entries"),
+        ],
+    )
+    def test_train_rejects_widths_or_kernels_of_the_wrong_shape(self, widths_shape, kernels, message):
+        net = toy_net()
+        x = np.zeros((2, 3, 6, 6), dtype=np.float32)
+        with pytest.raises(ShapeError, match=message):
+            net.forward_train(x, np.full(widths_shape, 4), kernels)
+
     def test_extraction_matches_supernet_eval(self):
         net = SuperNetwork(self.mixed_specs(), (8, 8), 4, rng=np.random.default_rng(3))
         rng = np.random.default_rng(10)
@@ -994,6 +1008,19 @@ class TestPersistence:
             ([{"kind": "conv", "M": 7, "k": 3}], "row 0: layer 0: width 7"),
             ([{"kind": "conv", "M": 6, "k": 3}], "1 conv rows, the network has 3"),
             ([{"kind": "conv", "M": True, "k": 3}], "row 0: field 'M'"),
+            (
+                [{"kind": "conv", "C": 99, "M": 6, "k": 3}],
+                "row 0: field 'C' is 99, the network's layer 0 has 3",
+            ),
+            (
+                [{"kind": "conv", "T": 1, "M": 6, "k": 3}],
+                "row 0: field 'T' is 1, the network's layer 0 has 6",
+            ),
+            (
+                [{"kind": "conv", "M": 6, "k": 3, "stride": 2}],
+                "row 0: field 'stride' is 2, the network's layer 0 has 1",
+            ),
+            ([{"kind": "conv", "C": "3", "M": 6, "k": 3}], "row 0: field 'C': must be an integer"),
         ],
     )
     def test_malformed_rows_name_the_row_and_field(self, rows, field):
@@ -1009,7 +1036,7 @@ class TestPersistence:
             | st.sampled_from(["conv", "dense"]),
             lambda inner: st.lists(inner, max_size=5)
             | st.dictionaries(
-                st.sampled_from(["kind", "M", "k", "index"]) | st.text(max_size=3),
+                st.sampled_from(["kind", "M", "k", "index", "C", "T", "stride"]) | st.text(max_size=3),
                 inner,
                 max_size=4,
             ),
