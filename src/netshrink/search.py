@@ -238,7 +238,7 @@ def evaluate_sample(
     With `prefix`, runs only from the first layer where `choice` differs
     from ``prefix.choice``, or from the last layer ``prefix.inputs`` holds if
     that comes first.  `capture` receives the holdout input of each layer
-    that runs (see `SubNetwork.forward`).
+    that runs (see `SuperNetwork.forward_eval`).
     """
     start = 0 if prefix is None else min(
         first_changed_layer(prefix.choice, choice), len(prefix.inputs) - 1

@@ -8,13 +8,15 @@ and never reaches zero.  A sub-network slices the first M filters, the first
 C_in inputs and the centered k x k window (`prefix_slice`) into `sliced_layer`.
 Training runs that layer at full width T on the sampled kernel's window under
 per-image ordered-dropout masks plus their bypass complement, so training and
-evaluation compute the same function; one layer forward and backward serve both.
+evaluation compute the same function; one layer builder, forward and backward
+serve both.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,8 +295,9 @@ class Layer:
     """One conv layer as both networks run it: width M and kernel k over z_in inputs.
 
     `weight` and `bias` hold at least the layer's `prefix_slice`: the
-    super-network's full tensors in training, an extracted network's own
-    copies otherwise.  At M = 0 they are None and the layer passes inputs on.
+    super-network's full tensors in training and evaluation, an extracted
+    network's own copies otherwise.  At M = 0 they are None and the layer
+    passes inputs on.
     """
 
     spec: LayerSpec
@@ -303,6 +306,20 @@ class Layer:
     z_in: int
     weight: T.Parameter | None
     bias: T.Parameter | None
+
+
+def _layers(specs: Sequence[LayerSpec], choice: SubNetChoice, weights, biases) -> list[Layer]:
+    """The one layer builder: `choice` laid out along `channel_flow`.
+
+    Layer i runs on Parameters ``weights[i]`` and ``biases[i]``, which hold at
+    least its `prefix_slice`; a layer with M = 0 gets none, and kernel 0.
+    """
+    layers, flow = [], channel_flow(specs, choice)
+    for spec, (m, k), z_in, w, b in zip(specs, choice.pairs, flow, weights, biases):
+        if m == 0:
+            k, w, b = 0, None, None
+        layers.append(Layer(spec, m, k, z_in, w, b))
+    return layers
 
 
 def _layer_forward(
@@ -377,14 +394,9 @@ def _layer_backward(layer: Layer, dout: np.ndarray, cache: dict, need_dx: bool) 
 # the super-network
 # ---------------------------------------------------------------------------
 
-def _he_conv(rng: np.random.Generator, t: int, c: int, k: int, dtype) -> np.ndarray:
-    std = np.sqrt(2.0 / (c * k * k))
-    return (rng.standard_normal((t, c, k, k)) * std).astype(dtype)
-
-
-def _he_dense(rng: np.random.Generator, classes: int, feat: int, dtype) -> np.ndarray:
-    std = np.sqrt(2.0 / feat)
-    return (rng.standard_normal((classes, feat)) * std).astype(dtype)
+def _he(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """He init of a conv [F, C, k, k] or dense [O, D] weight over its fan-in, all but axis 0."""
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))).astype(dtype)
 
 
 class _Network:
@@ -407,12 +419,13 @@ class _Network:
         self, layers: Sequence[Layer], x: np.ndarray, record: bool, start: int = 0,
         capture: list | None = None, keeps: Sequence[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Logits of `layers` from layer `start` on `x`; see `SubNetwork.forward`.
+        """Logits of `layers` from layer `start` on `x`, the input of layer `start`.
 
-        `keeps`, one ordered-dropout mask per layer, is `_layer_forward`'s `keep`.
+        `capture`, a list indexed by layer, receives the input of every layer
+        from `start` up to its length; `keeps`, one ordered-dropout mask per
+        layer, is `_layer_forward`'s `keep`.  With `record`, keeps what
+        `backward` reads.
         """
-        if record and start:
-            raise StateError("a recorded forward pass starts at layer 0")
         caches = []
         out = x
         for i, layer in enumerate(layers[start:], start):
@@ -424,6 +437,29 @@ class _Network:
         if record:
             self._cache = {"layers": layers, "caches": caches, "head": head}
         return logits
+
+    def _predict(
+        self, layers: Sequence[Layer], x: np.ndarray, start: int = 0, capture: list | None = None
+    ) -> np.ndarray:
+        """Logits of `_forward` run EVAL_BATCH_SIZE images at a time.
+
+        `capture` receives the input of each layer from `start` up to its
+        length for all of `x`, one array per layer; layer `start`'s is `x`
+        itself.  The batches are joined after the last one has run: an array
+        filled batch by batch would live through every batch's temporaries
+        and raise the peak memory.
+        """
+        stop = 0 if capture is None else len(capture)
+        logits, inputs = [], []
+        for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
+            batch = [None] * stop
+            logits.append(self._forward(layers, x[lo : lo + EVAL_BATCH_SIZE], False, start, batch))
+            inputs.append(batch)
+        if start < stop:
+            capture[start] = x
+        for i in range(start + 1, stop):
+            capture[i] = np.concatenate([batch[i] for batch in inputs])
+        return np.concatenate(logits)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the last recorded forward pass."""
@@ -437,9 +473,13 @@ class _Network:
             dout = _layer_backward(layers[i], dout, cache["caches"][i], need_dx)
 
     def _head_forward(self, out: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Logits of the last feature map, plus the head's part of the backward cache."""
+        """Logits of the last feature map, plus the head's part of the backward cache.
+
+        The head reads the first ``out.shape[1]`` columns of its weight: all of
+        them at full width and in an extracted network.
+        """
         feat = T.global_avg_pool(out)
-        logits = T.dense_forward(feat, self.head_w.value) + self.head_b.value
+        logits = T.dense_forward(feat, self.head_w.value[:, : out.shape[1]]) + self.head_b.value
         return logits, {"feat": feat, "conv_shape": out.shape}
 
     def _head_backward(self, dlogits: np.ndarray, cache: dict) -> np.ndarray:
@@ -506,10 +546,10 @@ class SuperNetwork(_Network):
         self.biases: list[T.Parameter] = []
         for s in specs:
             self.weights.append(
-                T.Parameter(_he_conv(rng, s.t, s.c, s.k_max, dtype), f"layer{s.index}.weight")
+                T.Parameter(_he(rng, (s.t, s.c, s.k_max, s.k_max), dtype), f"layer{s.index}.weight")
             )
             self.biases.append(T.Parameter(np.zeros(s.t, dtype=dtype), f"layer{s.index}.bias"))
-        self.head_w = T.Parameter(_he_dense(rng, classes, specs[-1].t, dtype), "head.weight")
+        self.head_w = T.Parameter(_he(rng, (classes, specs[-1].t), dtype), "head.weight")
         self.head_b = T.Parameter(np.zeros(classes, dtype=dtype), "head.bias")
         self._cache: dict | None = None
 
@@ -537,22 +577,26 @@ class SuperNetwork(_Network):
             )
         if len(kernels) != len(self.specs):
             raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
-        layers, keeps = [], []
-        for i, s in enumerate(self.specs):
-            layers.append(Layer(s, s.t, kernels[i], s.c, self.weights[i], self.biases[i]))
-            keeps.append(ordered_dropout_mask(widths[:, i], s.t)[:, :, None, None])
+        full = SubNetChoice(tuple((s.t, k) for s, k in zip(self.specs, kernels)))
+        layers = _layers(self.specs, full, self.weights, self.biases)
+        keeps = [ordered_dropout_mask(w, s.t)[:, :, None, None] for s, w in zip(self.specs, widths.T)]
         return self._forward(layers, x, True, keeps=keeps)
 
     # bench/bench_trace.py traces the training backward through this class's own namespace
     backward = _Network.backward
 
-    # -- evaluation: the extracted sub-network ----------------------------------
+    # -- evaluation: the sub-network on the shared tensors -----------------------
 
     def forward_eval(
         self, x: np.ndarray, choice: SubNetChoice, start: int = 0, capture: list | None = None
     ) -> np.ndarray:
-        """Logits of the chosen sub-network: ``extract(choice).predict(x, start, capture)``."""
-        return self.extract(choice).predict(x, start, capture)
+        """Logits of the chosen sub-network on the shared tensors; copies no weight.
+
+        `x` is the input of layer `start`; the layers below it do not run.  It
+        runs in batches, and `capture` fills as `_Network._predict` says.
+        """
+        check_choice(self.specs, choice)
+        return self._predict(_layers(self.specs, choice, self.weights, self.biases), x, start, capture)
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, choice: SubNetChoice) -> float:
         """Deterministic top-1 accuracy of the sliced sub-network; read-only."""
@@ -561,33 +605,14 @@ class SuperNetwork(_Network):
     # -- export ----------------------------------------------------------------
 
     def architecture_json(self, choice: SubNetChoice) -> list[dict]:
-        """Ordered layer dicts {index, kind, C, T, M, k, stride} plus the head row."""
+        """One `_ROW_FIELDS` dict per layer, in order, plus the dense head row."""
         check_choice(self.specs, choice)
-        rows = []
-        for spec, (m, k) in zip(self.specs, choice.pairs):
-            rows.append(
-                {
-                    "index": spec.index,
-                    "kind": "conv",
-                    "C": spec.c,
-                    "T": spec.t,
-                    "M": m,
-                    "k": k if m > 0 else 0,
-                    "stride": spec.stride,
-                }
-            )
-        rows.append(
-            {
-                "index": len(self.specs),
-                "kind": "dense",
-                "C": self.specs[-1].t,
-                "T": self.classes,
-                "M": self.classes,
-                "k": 1,
-                "stride": 1,
-            }
-        )
-        return rows
+        rows = [
+            (spec.index, "conv", spec.c, spec.t, m, k if m > 0 else 0, spec.stride)
+            for spec, (m, k) in zip(self.specs, choice.pairs)
+        ]
+        rows.append((len(self.specs), "dense", self.specs[-1].t, self.classes, self.classes, 1, 1))
+        return [dict(zip(_ROW_FIELDS, row)) for row in rows]
 
     def fingerprint(self) -> dict:
         return {
@@ -641,18 +666,7 @@ class SuperNetwork(_Network):
         Generator they are a fresh He init over the sub-network's own fan-in.
         """
         check_choice(self.specs, choice)
-        if rng is None:
-            return _build_subnetwork(
-                self.specs, choice,
-                lambda i, m, k, z_in: (self.weights[i].value, self.biases[i].value),
-                lambda z: (self.head_w.value, self.head_b.value),
-            )
-        dtype, classes = self.head_w.value.dtype, self.classes
-        return _build_subnetwork(
-            self.specs, choice,
-            lambda i, m, k, z_in: (_he_conv(rng, m, z_in, k, dtype), np.zeros(m, dtype=dtype)),
-            lambda z: (_he_dense(rng, classes, z, dtype), np.zeros(classes, dtype=dtype)),
-        )
+        return _copied(self.specs, choice, self.weights, self.biases, self.head_w, self.head_b, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -679,40 +693,12 @@ class SubNetwork(_Network):
                 ps += [l.weight, l.bias]
         return ps + [self.head_w, self.head_b]
 
-    def forward(
-        self, x: np.ndarray, record: bool = False, start: int = 0, capture: list | None = None
-    ) -> np.ndarray:
-        """Logits; with `record`, keeps each layer's input, ReLU gate and im2col columns.
-
-        `x` is the input of layer `start`; the layers below it do not run.
-        `capture`, a list indexed by layer, receives the input of every layer
-        from `start` up to its length.
-        """
-        return self._forward(self.layers, x, record, start, capture)
-
-    def predict(self, x: np.ndarray, start: int = 0, capture: list | None = None) -> np.ndarray:
-        """Logits of `forward` run EVAL_BATCH_SIZE images at a time.
-
-        `capture` receives the input of each layer from `start` up to its
-        length for all of `x`, one array per layer; layer `start`'s is `x`
-        itself.  The batches are joined after the last one has run: an array
-        filled batch by batch would live through every batch's temporaries
-        and raise the peak memory.
-        """
-        stop = 0 if capture is None else len(capture)
-        logits, inputs = [], []
-        for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
-            batch = [None] * stop
-            logits.append(self.forward(x[lo : lo + EVAL_BATCH_SIZE], start=start, capture=batch))
-            inputs.append(batch)
-        if start < stop:
-            capture[start] = x
-        for i in range(start + 1, stop):
-            capture[i] = np.concatenate([batch[i] for batch in inputs])
-        return np.concatenate(logits)
+    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
+        """Logits; with `record`, keeps each layer's input, ReLU gate and im2col columns."""
+        return self._forward(self.layers, x, record)
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
-        return _score(self.predict(images), labels)[0]
+        return _score(self._predict(self.layers, images), labels)[0]
 
     def shrink_to(self, choice: SubNetChoice) -> "SubNetwork":
         """New sub-network for a weakly smaller choice, reusing overlapping weights."""
@@ -722,70 +708,76 @@ class SubNetwork(_Network):
         if i is not None:
             (m0, k0), (m1, k1) = self.choice.pairs[i], choice.pairs[i]
             raise GridError(f"layer {specs[i].index}: ({m1},{k1}) does not shrink ({m0},{k0})")
-        return _build_subnetwork(
-            specs, choice,
-            lambda j, m, k, z_in: (self.layers[j].weight.value, self.layers[j].bias.value),
-            lambda z: (self.head_w.value, self.head_b.value),
-        )
+        weights, biases = [l.weight for l in self.layers], [l.bias for l in self.layers]
+        return _copied(specs, choice, weights, biases, self.head_w, self.head_b)
 
 
-def _build_subnetwork(
-    specs: Sequence[LayerSpec],
-    choice: SubNetChoice,
-    layer_source: Callable[[int, int, int, int], tuple[np.ndarray, np.ndarray]],
-    head_source: Callable[[int], tuple[np.ndarray, np.ndarray]],
-) -> SubNetwork:
-    """The one sub-network builder: lays out `choice` along its channel flow.
+def _copied(specs, choice, weights, biases, head_w, head_b, rng=None) -> SubNetwork:
+    """`_layers(specs, choice, weights, biases)` and the head, with Parameters of their own.
 
-    ``layer_source(index, m, k, z_in)`` and ``head_source(z)`` return the
-    (weight, bias) arrays that a layer with M > 0, and the head over the
-    final z channels, copy their prefix slices from.
+    Each layer with M > 0 copies its `prefix_slice`, and the head the first z
+    columns of `head_w` for the final z channels.  With a Generator the
+    weights are instead a fresh He init of those shapes, drawn layers first
+    and then the head, and the biases are zero.
     """
-    flow = channel_flow(specs, choice)
-    layers = []
-    for spec, (m, k), z_in in zip(specs, choice.pairs, flow):
-        weight = bias = None
-        if m > 0:
-            w, b = layer_source(spec.index, m, k, z_in)
-            weight = T.Parameter(prefix_slice(w, m, z_in, k).copy(), f"layer{spec.index}.weight")
-            bias = T.Parameter(b[:m].copy(), f"layer{spec.index}.bias")
-        layers.append(Layer(spec, m, k if m > 0 else 0, z_in, weight, bias))
-    head_w, head_b = head_source(flow[-1])
-    return SubNetwork(
-        layers,
-        T.Parameter(head_w[:, : flow[-1]].copy(), "head.weight"),
-        T.Parameter(head_b.copy(), "head.bias"),
-    )
+    def own(w: np.ndarray, b: np.ndarray, name: str) -> tuple[T.Parameter, T.Parameter]:
+        w, b = (w.copy(), b.copy()) if rng is None else (_he(rng, w.shape, w.dtype), np.zeros_like(b))
+        return T.Parameter(w, f"{name}.weight"), T.Parameter(b, f"{name}.bias")
+
+    owned = [
+        own(prefix_slice(l.weight.value, l.m, l.z_in, l.k), l.bias.value[: l.m], f"layer{l.spec.index}")
+        if l.m > 0 else (None, None)
+        for l in _layers(specs, choice, weights, biases)
+    ]
+    z = channel_flow(specs, choice)[-1]
+    layers = _layers(specs, choice, *zip(*owned))
+    return SubNetwork(layers, *own(head_w.value[:, :z], head_b.value, "head"))
 
 
 # ---------------------------------------------------------------------------
 # architecture files
 # ---------------------------------------------------------------------------
 
+# the fields of an architecture row, in the order `architecture_json` writes them
+_ROW_FIELDS = ("index", "kind", "C", "T", "M", "k", "stride")
+
+
 def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoice:
     """The validated choice that architecture rows (see `architecture_json`) describe.
 
-    Conv rows give each layer's (M, k), in order; the dense head row is
-    skipped.  A conv row's optional C, T and stride must equal the layer's.
-    Any malformed row raises ParseError naming `where`, the row index and the
-    field.
+    Conv rows give each layer's (M, k), in order; an optional dense head row
+    comes last.  A row's optional index, C, T and stride must equal the
+    network's: a conv row's those of its layer, the head row's index the
+    layer count and its C the last layer's T.  Any malformed row, or a row
+    with a key outside `_ROW_FIELDS`, raises ParseError naming `where`, the
+    row index and the field.
     """
-    pairs = []
-    for r, row in enumerate(json_list(rows, where)):
+    pairs, rows = [], json_list(rows, where)
+    for r, row in enumerate(rows):
         at = f"{where} row {r}"
         kind = json_object(row, at).get("kind")
         if kind not in ("conv", "dense"):
             raise ParseError(f"{at}: field 'kind' must be 'conv' or 'dense', got {kind!r}")
+        unknown = [key for key in row if key not in _ROW_FIELDS]
+        if unknown:
+            raise ParseError(f"{at}: unknown field {unknown[0]!r}")
         if kind == "dense":
-            continue
-        if len(pairs) == len(specs):
+            if r != len(rows) - 1:
+                raise ParseError(f"{at}: the dense head row must be the last row")
+            owner, fields = "head", (("index", len(specs)), ("C", specs[-1].t))
+        elif len(pairs) == len(specs):
             raise ParseError(f"{at}: more conv rows than the network's {len(specs)} layers")
-        spec = specs[len(pairs)]
-        for field, value in (("C", spec.c), ("T", spec.t), ("stride", spec.stride)):
+        else:
+            spec = specs[len(pairs)]
+            owner = f"layer {spec.index}"
+            fields = ("index", spec.index), ("C", spec.c), ("T", spec.t), ("stride", spec.stride)
+        for field, value in fields:
             if field in row and json_int(row[field], f"{at}: field {field!r}") != value:
                 raise ParseError(
-                    f"{at}: field {field!r} is {row[field]}, the network's layer {spec.index} has {value}"
+                    f"{at}: field {field!r} is {row[field]}, the network's {owner} has {value}"
                 )
+        if kind == "dense":
+            continue
         m = json_int(row.get("M"), f"{at}: field 'M'")
         k = json_int(row.get("k"), f"{at}: field 'k'") if m > 0 else spec.kernel_grid[0]
         try:

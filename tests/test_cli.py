@@ -1019,6 +1019,30 @@ class TestAtomicWrites:
         assert offenders == []
 
 
+class TestOneLayerBuilder:
+    def test_layers_are_built_in_one_place_and_drawn_in_one_init(self):
+        # supernet.py lays out every network's layers in _layers and draws every
+        # weight in _he: `Layer(` and `standard_normal(` are called nowhere else
+        allowed = {"Layer": "_layers", "standard_normal": "_he"}
+
+        def calls(node, owner):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, ast.FunctionDef) else owner
+                if isinstance(child, ast.Call):
+                    yield owner, getattr(child.func, "id", getattr(child.func, "attr", None)), child
+                yield from calls(child, inner)
+
+        path = Path(cli.__file__).parent / "supernet.py"
+        found, offenders = set(), []
+        for owner, name, call in calls(ast.parse(path.read_text()), None):
+            if name in allowed:
+                found.add(name)
+                if owner != allowed[name]:
+                    offenders.append(f"supernet.py:{call.lineno}: {name}( in {owner}")
+        assert found == set(allowed)
+        assert offenders == []
+
+
 def other_network_checkpoint(tmp_path: Path) -> Path:
     """A checkpoint of a network with other layer widths than `write_config`'s."""
     cfg = write_config(

@@ -850,6 +850,16 @@ class TestUnifiedPaths:
                 net.extract(choice).forward(x), net.forward_eval(x, choice), err_msg=str(choice)
             )
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_eval_on_shared_tensors_is_bitwise_the_extracted_forward_on_random_stacks(self, case):
+        """The view path (shared tensors, the head's first z columns) against the copy path."""
+        specs, hw, choice, seed = case
+        net = SuperNetwork(specs, hw, 3, rng=np.random.default_rng(seed))
+        x = np.random.default_rng(seed + 1).standard_normal((3, specs[0].c, *hw)).astype(np.float32)
+        got = net.forward_eval(x, choice)
+        assert got.tobytes() == net.extract(choice).forward(x).tobytes(), (specs, choice)
+
     def test_forward_from_any_layer_on_captured_inputs_is_bitwise_equal(self):
         specs = mixed_small_specs()
         net = SuperNetwork(specs, (8, 8), 3, rng=np.random.default_rng(22))
@@ -859,16 +869,17 @@ class TestUnifiedPaths:
             sub = net.extract(choice)
             assert [l.spec.index for l in sub.layers] == list(range(len(specs)))
             inputs = [None] * len(specs)
-            want = sub.forward(x, capture=inputs)
+            want = net.forward_eval(x, choice, capture=inputs)
             assert inputs[0] is x
             for i, layer in enumerate(sub.layers):
                 nxt = inputs[i + 1] if i + 1 < len(specs) else None
                 if layer.weight is None and nxt is not None and nxt.shape == inputs[i].shape:
                     passed_through += 1  # a removed layer's output is its input
-                    assert layer.m == 0 and np.shares_memory(nxt, inputs[i])
+                    out = _layer_forward(layer, inputs[i], False)[0]
+                    assert layer.m == 0 and np.shares_memory(out, inputs[i])
                     assert nxt.tobytes() == inputs[i].tobytes()
                 tail = [None] * len(specs)
-                got = sub.forward(inputs[i], start=i, capture=tail)
+                got = net.forward_eval(inputs[i], choice, i, capture=tail)
                 assert got.tobytes() == want.tobytes(), (choice, i)
                 assert tail[:i] == [None] * i
                 assert tail[i] is inputs[i]
@@ -897,8 +908,6 @@ class TestUnifiedPaths:
                 assert [a.tobytes() for a in short[start:]] == [
                     a.tobytes() for a in inputs[start:stop]
                 ], (start, stop)
-        with pytest.raises(StateError, match="starts at layer 0"):
-            net.extract(choice).forward(inputs[1], record=True, start=1)
 
     def test_channel_flow_is_what_the_extracted_forward_produces(self):
         specs = [
@@ -969,6 +978,15 @@ class TestUnifiedPaths:
             np.testing.assert_array_equal(a.value, b.value)
 
 
+# toy_net's full choice as `architecture_json` writes it
+TOY_ROWS = [
+    {"index": 0, "kind": "conv", "C": 3, "T": 6, "M": 6, "k": 3, "stride": 1},
+    {"index": 1, "kind": "conv", "C": 6, "T": 6, "M": 6, "k": 5, "stride": 1},
+    {"index": 2, "kind": "conv", "C": 6, "T": 4, "M": 4, "k": 3, "stride": 1},
+    {"index": 3, "kind": "dense", "C": 4, "T": 3, "M": 3, "k": 1, "stride": 1},
+]
+
+
 class TestPersistence:
     def test_checkpoint_round_trip_and_fingerprint(self, tmp_path):
         net = toy_net(seed=11)
@@ -1021,6 +1039,22 @@ class TestPersistence:
                 "row 0: field 'stride' is 2, the network's layer 0 has 1",
             ),
             ([{"kind": "conv", "C": "3", "M": 6, "k": 3}], "row 0: field 'C': must be an integer"),
+            (
+                [{"index": 7, "kind": "conv", "M": 6, "k": 3}],
+                "row 0: field 'index' is 7, the network's layer 0 has 0",
+            ),
+            (
+                [*TOY_ROWS[:3], {**TOY_ROWS[3], "C": 999}],
+                "row 3: field 'C' is 999, the network's head has 4",
+            ),
+            (
+                [*TOY_ROWS[:3], {**TOY_ROWS[3], "index": 2}],
+                "row 3: field 'index' is 2, the network's head has 3",
+            ),
+            ([*TOY_ROWS[:3], {**TOY_ROWS[3], "classes": 50}], "row 3: unknown field 'classes'"),
+            ([{**TOY_ROWS[0], "m": 6}], "row 0: unknown field 'm'"),
+            ([TOY_ROWS[3], *TOY_ROWS[:3]], "row 0: the dense head row must be the last row"),
+            ([*TOY_ROWS, TOY_ROWS[3]], "row 3: the dense head row must be the last row"),
         ],
     )
     def test_malformed_rows_name_the_row_and_field(self, rows, field):
