@@ -26,7 +26,7 @@ from .errors import (
     tagged_csv, write_atomic, write_json,
 )
 from .search import run_search, train_subnetwork, trajectory_replay_finetune
-from .supernet import SuperNetwork, load_architecture
+from .supernet import SuperNetwork, choice_from_rows
 from . import tensor as T
 
 STAGE_FORMAT = "netshrink-stage-v1"
@@ -212,7 +212,8 @@ def cmd_train_discovered(args) -> int:
         mode = cfg.discovered.mode
         # parse the input before the data and cost-model set-up, so a bad file fails fast
         if args.architecture is not None:
-            choices = [load_architecture(args.architecture, cfg.layers)]
+            rows = read_json(args.architecture, "architecture")
+            choices = [choice_from_rows(rows, net, f"architecture {args.architecture}")]
             mode = "scratch"  # a bare architecture has no trajectory to replay
         else:
             trajectory = _input(

@@ -422,7 +422,7 @@ def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[Su
     if not raw:
         raise ParseError(f"trajectory {path}: must be a non-empty list of architectures")
     choices = [
-        choice_from_rows(rows, supernet.specs, f"trajectory {path} entry {e}")
+        choice_from_rows(rows, supernet, f"trajectory {path} entry {e}")
         for e, rows in enumerate(raw)
     ]
     for e, (before, after) in enumerate(zip(choices, choices[1:]), start=1):

@@ -21,9 +21,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import (
-    GridError, ParseError, ShapeError, StateError, json_int, json_list, json_object, read_json,
-)
+from .errors import GridError, ParseError, ShapeError, StateError, json_int, json_list, json_object
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +630,15 @@ class SuperNetwork(_Network):
             ],
         }
 
-    def load_state_dict(self, tensors: dict[str, np.ndarray]) -> None:
+    def save(self, path: str | Path) -> None:
+        T.save_checkpoint(path, self.state_dict(), meta={"network": self.fingerprint()})
+
+    def load(self, path: str | Path) -> None:
+        tensors, meta = T.load_checkpoint(path)
+        if meta.get("network") != self.fingerprint():
+            raise ShapeError(
+                "checkpoint network fingerprint does not match this network spec"
+            )
         for p in self.parameters():
             if p.name not in tensors:
                 raise ShapeError(f"checkpoint is missing tensor {p.name!r}")
@@ -643,17 +649,6 @@ class SuperNetwork(_Network):
                 )
             p.value = tensors[p.name].astype(p.value.dtype)
             p.grad = np.zeros_like(p.value)
-
-    def save(self, path: str | Path) -> None:
-        T.save_checkpoint(path, self.state_dict(), meta={"network": self.fingerprint()})
-
-    def load(self, path: str | Path) -> None:
-        tensors, meta = T.load_checkpoint(path)
-        if meta.get("network") != self.fingerprint():
-            raise ShapeError(
-                "checkpoint network fingerprint does not match this network spec"
-            )
-        self.load_state_dict(tensors)
 
     # -- extraction --------------------------------------------------------------
 
@@ -742,54 +737,42 @@ def _copied(specs, choice, weights, biases, head_w, head_b, rng=None) -> SubNetw
 _ROW_FIELDS = ("index", "kind", "C", "T", "M", "k", "stride")
 
 
-def choice_from_rows(rows, specs: Sequence[LayerSpec], where: str) -> SubNetChoice:
-    """The validated choice that architecture rows (see `architecture_json`) describe.
+def choice_from_rows(rows, net: SuperNetwork, where: str) -> SubNetChoice:
+    """The validated choice that rows as `net.architecture_json` writes them describe.
 
-    Conv rows give each layer's (M, k), in order; an optional dense head row
-    comes last.  A row's optional index, C, T and stride must equal the
-    network's: a conv row's those of its layer, the head row's index the
-    layer count and its C the last layer's T.  Any malformed row, or a row
-    with a key outside `_ROW_FIELDS`, raises ParseError naming `where`, the
-    row index and the field.
+    The first L rows are conv rows, row i layer i: each gives its `kind`, `M`
+    and, when M > 0, `k` (at M = 0 `k` is not read).  At most one head row
+    may follow.  Every other field a row gives must equal, in JSON type and
+    value, the one `net.architecture_json` writes in that row for this
+    choice; a key it does not write is unknown.  A malformed row raises
+    ParseError naming `where`, the row (a grid error names its layer) and the
+    field.
     """
     pairs, rows = [], json_list(rows, where)
-    for r, row in enumerate(rows):
+    for r, (spec, row) in enumerate(zip(net.specs, rows)):
         at = f"{where} row {r}"
         kind = json_object(row, at).get("kind")
-        if kind not in ("conv", "dense"):
-            raise ParseError(f"{at}: field 'kind' must be 'conv' or 'dense', got {kind!r}")
-        unknown = [key for key in row if key not in _ROW_FIELDS]
-        if unknown:
-            raise ParseError(f"{at}: unknown field {unknown[0]!r}")
-        if kind == "dense":
-            if r != len(rows) - 1:
-                raise ParseError(f"{at}: the dense head row must be the last row")
-            owner, fields = "head", (("index", len(specs)), ("C", specs[-1].t))
-        elif len(pairs) == len(specs):
-            raise ParseError(f"{at}: more conv rows than the network's {len(specs)} layers")
-        else:
-            spec = specs[len(pairs)]
-            owner = f"layer {spec.index}"
-            fields = ("index", spec.index), ("C", spec.c), ("T", spec.t), ("stride", spec.stride)
-        for field, value in fields:
-            if field in row and json_int(row[field], f"{at}: field {field!r}") != value:
-                raise ParseError(
-                    f"{at}: field {field!r} is {row[field]}, the network's {owner} has {value}"
-                )
-        if kind == "dense":
-            continue
+        if kind != "conv":
+            raise ParseError(f"{at}: field 'kind' must be 'conv', got {kind!r}")
         m = json_int(row.get("M"), f"{at}: field 'M'")
         k = json_int(row.get("k"), f"{at}: field 'k'") if m > 0 else spec.kernel_grid[0]
-        try:
-            spec.validate_choice(m, k)
-        except GridError as e:
-            raise ParseError(f"{at}: {e}") from None
         pairs.append((m, k))
-    if len(pairs) != len(specs):
-        raise ParseError(f"{where}: {len(pairs)} conv rows, the network has {len(specs)} layers")
-    return SubNetChoice(tuple(pairs))
-
-
-def load_architecture(path: str | Path, specs: Sequence[LayerSpec]) -> SubNetChoice:
-    """Read an architecture file back into a validated choice for `specs`."""
-    return choice_from_rows(read_json(path, "architecture"), specs, f"architecture {path}")
+    choice = SubNetChoice(tuple(pairs))
+    try:
+        written = net.architecture_json(choice)
+    except GridError as e:
+        raise ParseError(f"{where}: {e}") from None
+    for r, row in enumerate(rows):
+        at = f"{where} row {r}"
+        if r == len(written):
+            raise ParseError(f"{at}: the network has {len(pairs)} conv rows and one head row")
+        read = ("kind", "M", "k") if r < len(pairs) else ()
+        for key, value in json_object(row, at).items():
+            if key not in written[r]:
+                raise ParseError(f"{at}: unknown field {key!r}")
+            want = written[r][key]
+            if key not in read and (type(value) is not type(want) or value != want):
+                raise ParseError(
+                    f"{at}: field {key!r} must be {want!r} for this network, got {value!r}"
+                )
+    return choice

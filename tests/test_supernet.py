@@ -86,6 +86,33 @@ class TestCbcArithmetic:
                     got = [(s.origin, s.index) for s in bypass_channel_map(c, t, m)]
                     assert got == sim, (c, t, m)
 
+    def test_live_layers_route_channels_as_the_simulation(self):
+        """`sliced_layer` at width M, and `_layer_forward` at full width under a width-M
+        keep mask, put each filter and input where `simulate_bypass` puts them."""
+
+        def sources(out):
+            # filter j emits relu(0 + 100 + j), input i carries i + 1, a cut channel 0
+            assert np.all(out == out[:, :, :1, :1]), "every channel is one constant plane"
+            return [
+                ("filter", v - 100) if v >= 100 else ("input", v - 1) if v else None
+                for v in out[0, :, 0, 0].astype(int).tolist()
+            ]
+
+        for c in range(1, 9):
+            x = np.tile(np.arange(1, c + 1, dtype=np.float32)[None, :, None, None], (1, 1, 3, 3))
+            for t in range(1, 9):
+                spec = LayerSpec(index=0, c=c, t=t, k_max=3, width_grid=tuple(range(t + 1)))
+                weight = np.zeros((t, c, 3, 3), np.float32)
+                bias = 100 + np.arange(t, dtype=np.float32)
+                full = Layer(spec, t, 3, c, T.Parameter(weight, "w"), T.Parameter(bias, "b"))
+                for m in range(0, t + 1):
+                    sim = simulate_bypass(c, t, m)
+                    params = (weight[:m], bias[:m]) if m else (None, None)
+                    assert sources(sliced_layer(spec, x, m, *params)[0]) == sim, (c, t, m)
+                    keep = ordered_dropout_mask([m], t)[:, :, None, None]
+                    masked = _layer_forward(full, x, False, keep)[0]
+                    assert sources(masked) == sim + [None] * (t - len(sim)), (c, t, m)
+
     def test_z_never_zero_and_monotone(self):
         for c in range(1, 9):
             for t in range(1, 9):
@@ -1013,7 +1040,7 @@ class TestPersistence:
         net = toy_net(seed=12)
         for choice in (net.full_choice(), SubNetChoice(((4, 3), (0, 3), (2, 3)))):
             rows = net.architecture_json(choice)
-            assert choice_from_rows(rows, net.specs, "arch") == choice
+            assert choice_from_rows(rows, net, "arch") == choice
 
     @pytest.mark.parametrize(
         "rows,field",
@@ -1023,45 +1050,85 @@ class TestPersistence:
             ([[6, 3]], "row 0: must be a JSON object"),
             ([{"kind": "conv", "M": "x", "k": 3}], "row 0: field 'M'"),
             ([{"kind": "conv", "M": 6, "k": 3}, {"kind": "conv", "M": 6}], "row 1: field 'k'"),
-            ([{"kind": "conv", "M": 7, "k": 3}], "row 0: layer 0: width 7"),
-            ([{"kind": "conv", "M": 6, "k": 3}], "1 conv rows, the network has 3"),
+            ([{"kind": "conv", "M": 7, "k": 3}, *TOY_ROWS[1:3]], "arch.json: layer 0: width 7"),
+            ([{"kind": "conv", "M": 6, "k": 3}], "choice has 1 layers, network has 3"),
             ([{"kind": "conv", "M": True, "k": 3}], "row 0: field 'M'"),
             (
-                [{"kind": "conv", "C": 99, "M": 6, "k": 3}],
-                "row 0: field 'C' is 99, the network's layer 0 has 3",
+                [{"kind": "conv", "C": 99, "M": 6, "k": 3}, *TOY_ROWS[1:3]],
+                "row 0: field 'C' must be 3 for this network, got 99",
             ),
             (
-                [{"kind": "conv", "T": 1, "M": 6, "k": 3}],
-                "row 0: field 'T' is 1, the network's layer 0 has 6",
+                [{"kind": "conv", "T": 1, "M": 6, "k": 3}, *TOY_ROWS[1:3]],
+                "row 0: field 'T' must be 6 for this network, got 1",
             ),
             (
-                [{"kind": "conv", "M": 6, "k": 3, "stride": 2}],
-                "row 0: field 'stride' is 2, the network's layer 0 has 1",
+                [{"kind": "conv", "M": 6, "k": 3, "stride": 2}, *TOY_ROWS[1:3]],
+                "row 0: field 'stride' must be 1 for this network, got 2",
             ),
-            ([{"kind": "conv", "C": "3", "M": 6, "k": 3}], "row 0: field 'C': must be an integer"),
             (
-                [{"index": 7, "kind": "conv", "M": 6, "k": 3}],
-                "row 0: field 'index' is 7, the network's layer 0 has 0",
+                [{"kind": "conv", "C": "3", "M": 6, "k": 3}, *TOY_ROWS[1:3]],
+                "row 0: field 'C' must be 3 for this network, got '3'",
+            ),
+            (
+                [{"index": 7, "kind": "conv", "M": 6, "k": 3}, *TOY_ROWS[1:3]],
+                "row 0: field 'index' must be 0 for this network, got 7",
             ),
             (
                 [*TOY_ROWS[:3], {**TOY_ROWS[3], "C": 999}],
-                "row 3: field 'C' is 999, the network's head has 4",
+                "row 3: field 'C' must be 4 for this network, got 999",
             ),
             (
                 [*TOY_ROWS[:3], {**TOY_ROWS[3], "index": 2}],
-                "row 3: field 'index' is 2, the network's head has 3",
+                "row 3: field 'index' must be 3 for this network, got 2",
             ),
             ([*TOY_ROWS[:3], {**TOY_ROWS[3], "classes": 50}], "row 3: unknown field 'classes'"),
-            ([{**TOY_ROWS[0], "m": 6}], "row 0: unknown field 'm'"),
-            ([TOY_ROWS[3], *TOY_ROWS[:3]], "row 0: the dense head row must be the last row"),
-            ([*TOY_ROWS, TOY_ROWS[3]], "row 3: the dense head row must be the last row"),
+            ([{**TOY_ROWS[0], "m": 6}, *TOY_ROWS[1:3]], "row 0: unknown field 'm'"),
+            ([TOY_ROWS[3], *TOY_ROWS[:3]], "row 0: field 'kind' must be 'conv', got 'dense'"),
+            ([*TOY_ROWS, TOY_ROWS[3]], "row 4: the network has 3 conv rows and one head row"),
+            (
+                [*TOY_ROWS[:3], {**TOY_ROWS[3], "T": 50, "M": 7, "k": 9, "stride": 2}],
+                "row 3: field 'T' must be 3 for this network, got 50",
+            ),
         ],
     )
     def test_malformed_rows_name_the_row_and_field(self, rows, field):
         net = toy_net()
         with pytest.raises(ParseError, match=field) as info:
-            choice_from_rows(rows, net.specs, "arch.json")
+            choice_from_rows(rows, net, "arch.json")
         assert str(info.value).startswith("arch.json")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_rows_round_trip_and_every_edit_names_its_row_on_random_stacks(self, case):
+        specs, hw, choice, _ = case
+        net = SuperNetwork(specs, hw, 3)
+        rows = net.architecture_json(choice)
+        head = len(specs)
+        # a removed layer's kernel is not written, so compare the canonical keys
+        assert choice_from_rows(rows, net, "arch").key() == choice.key()
+        assert choice_from_rows(rows[:head], net, "arch").key() == choice.key()  # head row optional
+
+        def fails_at(r, edited):
+            # a grid error names the layer, which is conv row r
+            with pytest.raises(ParseError, match=rf"^arch( row {r}|: layer {r}): "):
+                choice_from_rows(edited, net, "arch")
+
+        for r, row in enumerate(rows):
+            for key, value in row.items():
+                if r < head and key == "k" and row["M"] == 0:  # not read: any value loads
+                    edited = [*rows[:r], {**row, "k": "x"}, *rows[r + 1 :]]
+                    assert choice_from_rows(edited, net, "arch").key() == choice.key()
+                    continue
+                if key == "kind":
+                    edits = ["dense" if value == "conv" else "conv", None]
+                else:  # M past T leaves the width grid; every grid kernel is odd
+                    edits = [row["T"] + 1 if key == "M" else value + 1, float(value), str(value)]
+                for bad in edits:
+                    fails_at(r, [*rows[:r], {**row, key: bad}, *rows[r + 1 :]])
+            fails_at(r, [*rows[:r], {**row, "extra": 0}, *rows[r + 1 :]])
+        fails_at(head + 1, [*rows, rows[head]])
+        for r in range(head):
+            fails_at(r, [*rows[:r], rows[head], *rows[r:head]])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -1080,7 +1147,7 @@ class TestPersistence:
     def test_only_netshrink_errors_escape_the_row_parser(self, rows):
         net = toy_net()
         try:
-            choice = choice_from_rows(rows, net.specs, "fuzz")
+            choice = choice_from_rows(rows, net, "fuzz")
         except NetshrinkError:
             return
         check_choice(net.specs, choice)
