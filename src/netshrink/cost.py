@@ -63,7 +63,14 @@ def interpolate_latency(layer_table: dict[int, dict[int, float]], m: int | float
 
 
 class LatencyTable:
-    """Per-layer map (M, k) -> milliseconds, with optional linear-in-M interpolation."""
+    """Per-layer map (M, k) -> milliseconds, with optional linear-in-M interpolation.
+
+    `layer_cost` prices (M, k): 0 at M=0, else the stored entry or, with
+    interpolation, the linear value within kernel k's measured widths.  A valid
+    table prices every grid point, rising in M and k; its stored widths rise in
+    M, and without interpolation it lists M=0 where the grid has it.  A stored
+    M=0 is 0 at stride 1.
+    """
 
     def __init__(
         self,
@@ -80,49 +87,37 @@ class LatencyTable:
     def layer_cost(self, layer_index: int, m: int, k: int) -> float:
         if layer_index not in self.layers:
             raise LookupMissError(f"no table for layer {layer_index}")
-        table = self.layers[layer_index]
         if m == 0:
-            # a removed layer costs nothing; stored entries agree when present
-            k = min(table) if k not in table else k
-            return table[k].get(0, 0.0)
-        if self.interpolate:
-            return interpolate_latency(table, m, k)
-        if k not in table or m not in table[k]:
+            return 0.0
+        table = self.layers[layer_index]
+        if k in table and m in table[k]:
+            return table[k][m]
+        if not self.interpolate:
             raise LookupMissError(f"layer {layer_index}: no entry for (M={m}, k={k})")
-        return table[k][m]
+        try:
+            return interpolate_latency(table, m, k)
+        except LookupMissError as miss:
+            raise LookupMissError(f"layer {layer_index}: {miss}") from None
 
     def validate_against(self, specs: Sequence[LayerSpec]) -> None:
-        """Check coverage of every grid point, monotonicity, and free removal."""
+        """Check the class docstring's rules on every grid point of `specs`."""
         for spec in specs:
-            if spec.index not in self.layers:
-                raise LookupMissError(f"no table for layer {spec.index}")
-            table = self.layers[spec.index]
-            for k in spec.kernel_grid:
-                if k not in table:
-                    raise LookupMissError(f"layer {spec.index}: kernel {k} not measured")
-                covered = set(table[k])
-                need = set(spec.width_grid)
-                if not self.interpolate and not need <= covered:
-                    raise LookupMissError(
-                        f"layer {spec.index}, kernel {k}: widths {sorted(need - covered)} "
-                        "not measured and interpolation is off"
-                    )
-                if 0 in table[k] and table[k][0] != 0.0 and spec.stride == 1:
+            costs = [[self.layer_cost(spec.index, m, k) for m in spec.width_grid]
+                     for k in spec.kernel_grid]
+            for k, row in zip(spec.kernel_grid, costs):
+                stored = self.layers[spec.index][k]  # present: width T > 0 priced above
+                if not self.interpolate and 0 in spec.width_grid and 0 not in stored:
+                    raise LookupMissError(f"layer {spec.index}: no entry for (M=0, k={k})")
+                if stored.get(0, 0.0) != 0.0 and spec.stride == 1:
                     raise TableError(
-                        f"layer {spec.index}: latency at M=0 must be 0, got {table[k][0]}"
+                        f"layer {spec.index}: latency at M=0 must be 0, got {stored[0]}"
                     )
-                ms = sorted(table[k])
-                vals = [table[k][m] for m in ms]
-                if any(b < a for a, b in zip(vals, vals[1:])):
+                vals = [stored[m] for m in sorted(stored)]
+                if any(b < a for line in (vals, row) for a, b in zip(line, line[1:])):
                     raise TableError(
                         f"layer {spec.index}, kernel {k}: latency not non-decreasing in M"
                     )
-            for m in spec.width_grid:
-                line = [
-                    self.layer_cost(spec.index, m, k)
-                    for k in spec.kernel_grid
-                    if k in table and (m in table[k] or m == 0)
-                ]
+            for m, line in zip(spec.width_grid, zip(*costs)):
                 if any(b < a for a, b in zip(line, line[1:])):
                     raise TableError(
                         f"layer {spec.index}, width {m}: latency not non-decreasing in k"
@@ -206,7 +201,7 @@ def synthetic_latency_table(
 
 
 class MacModel:
-    """Closed-form MAC counts per layer; needs no measurement file."""
+    """Closed-form MAC counts per layer, no file needed; a valid table's rules hold, M=0 costs 0."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_hw: tuple[int, int]):
         spatial = spatial_flow(specs, input_hw)
@@ -216,8 +211,10 @@ class MacModel:
         }
 
     def layer_cost(self, layer_index: int, m: int, k: int) -> float:
+        if layer_index not in self._static:
+            raise LookupMissError(f"no MAC entry for layer {layer_index}")
         c, h_out, w_out = self._static[layer_index]
-        return float(layer_macs(c, m, k if m > 0 else 0, h_out, w_out))
+        return float(layer_macs(c, m, k, h_out, w_out))
 
 
 def total_resource(choice: SubNetChoice, model) -> float:

@@ -45,14 +45,17 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeError(message)
 
 
-def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
-    """Validate a same-padding conv of x by w; return the output extents (H_out, W_out)."""
+def _conv_cols(x: np.ndarray, w: np.ndarray, stride: int, cols: np.ndarray | None) -> tuple:
+    """Validate a same-padding conv of x by w; return (cols, H_out, W_out, Wq).
+
+    `cols` is ``im2col(x, k, stride)``, computed here unless the caller gives it.
+    """
     # runs on every training call, so a passing check formats no message
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-D NCHW, got rank {x.ndim}")
     if w.ndim != 4:
         raise ShapeError(f"conv weights must be 4-D [F,C,k,k], got rank {w.ndim}")
-    _, c, h, wd = x.shape
+    n, c, h, wd = x.shape
     _, wc, kh, kw = w.shape
     if kh != kw:
         raise ShapeError(f"kernel must be square, got {kh}x{kw} on axes (2,3)")
@@ -66,7 +69,15 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray, stride: int) -> tuple[int, int]:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if h < kh or wd < kw:
         raise ShapeError(f"spatial extents ({h}x{wd}) must be >= kernel ({kh}) on axes (2,3)")
-    return -(-h // stride), -(-wd // stride)
+    h_out, w_out, wq = -(-h // stride), -(-wd // stride), _row_width(wd, kh, stride)
+    if cols is None:
+        return im2col(x, kh, stride), h_out, w_out, wq
+    _require_shape(
+        cols, (c * kh * kh, n * h_out * wq), "cols must be 2-D [C*k*k, N*H_out*Wq]",
+        lambda axis, got, expect: f"cols axis {axis} has {got}, im2col of input {x.shape} "
+        f"with k={kh} needs {expect}",
+    )
+    return cols, h_out, w_out, wq
 
 
 def _row_width(wd: int, k: int, stride: int) -> int:
@@ -92,17 +103,13 @@ def _taps(xp: np.ndarray, k: int, stride: int, h_out: int, wq: int) -> np.ndarra
     )
 
 
-def _require_cols(cols: np.ndarray, x: np.ndarray, k: int, h_out: int, wq: int) -> None:
-    n, c = x.shape[:2]
-    want = (c * k * k, n * h_out * wq)
-    if cols.shape == want:
+def _require_shape(a: np.ndarray, want: tuple[int, ...], rule: str, axis_message) -> None:
+    """Raise a ShapeError with `rule` on a wrong rank, else with the first axis that differs."""
+    if a.shape == want:
         return
-    _require(cols.ndim == 2, f"cols must be 2-D [C*k*k, N*H_out*Wq], got rank {cols.ndim}")
-    for axis, (got, expect) in enumerate(zip(cols.shape, want)):
-        _require(
-            got == expect,
-            f"cols axis {axis} has {got}, im2col of input {x.shape} with k={k} needs {expect}",
-        )
+    _require(a.ndim == len(want), f"{rule}, got rank {a.ndim}")
+    for axis, (got, expect) in enumerate(zip(a.shape, want)):
+        _require(got == expect, axis_message(axis, got, expect))
 
 
 def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
@@ -133,14 +140,8 @@ def conv2d_forward(
     ceil(H/stride) x ceil(W/stride); padding value is 0.  `cols`, if given,
     must be ``im2col(x, k, stride)``.
     """
-    h_out, w_out = _conv_shapes(x, w, stride)
-    n, _, _, wd = x.shape
-    f, _, k, _ = w.shape
-    wq = _row_width(wd, k, stride)
-    if cols is None:
-        cols = im2col(x, k, stride)
-    else:
-        _require_cols(cols, x, k, h_out, wq)
+    cols, h_out, w_out, wq = _conv_cols(x, w, stride, cols)
+    n, f = x.shape[0], w.shape[0]
     y = (w.reshape(f, -1) @ cols).reshape(f, n, h_out, wq)[..., :w_out]
     return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
@@ -159,22 +160,14 @@ def conv2d_backward(
     ``need_dx=False`` (the network's input layer) dx is not computed and
     None is returned in its place.
     """
-    h_out, w_out = _conv_shapes(x, w, stride)
-    n, c, h, wd = x.shape
+    cols, h_out, w_out, wq = _conv_cols(x, w, stride, cols)
+    n, c = x.shape[:2]
     f, _, k, _ = w.shape
-    if dy.shape != (n, f, h_out, w_out):
-        _require(dy.ndim == 4, f"conv output gradient must be 4-D NCHW, got rank {dy.ndim}")
-        for axis, (got, expect) in enumerate(zip(dy.shape, (n, f, h_out, w_out))):
-            _require(
-                got == expect,
-                f"dy axis {axis} has {got}, the forward output of input {x.shape} "
-                f"and weights {w.shape} at stride {stride} has {expect}",
-            )
-    wq = _row_width(wd, k, stride)
-    if cols is None:
-        cols = im2col(x, k, stride)
-    else:
-        _require_cols(cols, x, k, h_out, wq)
+    _require_shape(
+        dy, (n, f, h_out, w_out), "conv output gradient must be 4-D NCHW",
+        lambda axis, got, expect: f"dy axis {axis} has {got}, the forward output of input "
+        f"{x.shape} and weights {w.shape} at stride {stride} has {expect}",
+    )
     # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
     dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
     dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)

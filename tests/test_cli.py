@@ -680,7 +680,7 @@ def missing_width_table_run(tmp_path: Path) -> tuple[list[str], list[str]]:
 
     return (
         edited_table_search_argv(tmp_path, edit),
-        ["error: layer 1, kernel 3: widths [4] not measured and interpolation is off"],
+        ["error: layer 1: no entry for (M=4, k=3)"],
     )
 
 

@@ -21,6 +21,7 @@ from netshrink.errors import LookupMissError, NetshrinkError, ParseError, TableE
 from netshrink.supernet import LayerSpec, SubNetChoice, full_width_choice, spatial_flow
 
 from reference import count_conv_taps
+from test_supernet import random_stack
 
 
 TABLE_META = {"format": LATENCY_TABLE_FORMAT}
@@ -255,6 +256,66 @@ class TestLatencyTable:
             for k, by_m in by_k.items():
                 assert type(layer) is int and type(k) is int
                 assert all(type(m) is int and np.isfinite(v) for m, v in by_m.items())
+
+    @pytest.mark.parametrize(
+        "k_max,widths,by_k,error,match",
+        [
+            # width 8 lies past kernel 3's measured widths
+            (3, (0, 4, 8), {3: {0: 0.0, 4: 1.0}}, LookupMissError,
+             r"^layer 0: width 8 outside the measured range \[0, 4\] for kernel 3"),
+            # at width 4, k=3 interpolates to 4.0 between its widths 2 and 8; k=5 stores 2.0
+            (5, (4, 8), {3: {2: 1.0, 8: 10.0}, 5: {4: 2.0, 8: 11.0}}, TableError,
+             r"layer 0, width 4: latency not non-decreasing in k"),
+            # the stored widths rise, but width 4 would cost less than removing the layer
+            (3, (0, 4, 8), {3: {4: -1.0, 8: 1.0}}, TableError,
+             r"layer 0, kernel 3: latency not non-decreasing in M"),
+        ],
+        ids=["width-past-measured", "interpolated-falls-in-k", "below-removal"],
+    )
+    def test_interpolated_grid_points_are_checked(self, k_max, widths, by_k, error, match):
+        specs = [LayerSpec(index=0, c=3, t=8, k_max=k_max, width_grid=widths)]
+        with pytest.raises(error, match=match):
+            LatencyTable({0: by_k}, interpolate=True).validate_against(specs)
+
+    def test_removed_layer_costs_nothing_without_reading_the_table(self):
+        assert LatencyTable({0: {}}).layer_cost(0, 0, 3) == 0.0
+
+    def test_mac_model_names_an_unknown_layer(self):
+        with pytest.raises(LookupMissError, match="layer 3"):
+            MacModel(stride1_specs(), (8, 8)).layer_cost(3, 4, 3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        stack=random_stack(),
+        edit=st.sampled_from(["drop width", "drop kernel", "halve kernel", "none"]),
+        interpolate=st.booleans(),
+        data=st.data(),
+    )
+    def test_an_accepted_table_prices_the_grid_cheapest_first(self, stack, edit, interpolate, data):
+        specs, hw, _, seed = stack
+        table = synthetic_latency_table(specs, hw, seed, interpolate)
+        spec = data.draw(st.sampled_from(specs))
+        by_k = table.layers[spec.index]
+        k = data.draw(st.sampled_from(spec.kernel_grid))
+        if edit == "drop width":
+            del by_k[k][data.draw(st.sampled_from(spec.width_grid))]
+        elif edit == "drop kernel":
+            del by_k[k]
+        elif edit == "halve kernel":
+            by_k[k] = {m: ms / 2 for m, ms in by_k[k].items()}
+        try:
+            table.validate_against(specs)
+        except NetshrinkError as err:
+            assert re.match(rf"(no table for )?layer {spec.index}\b", str(err))
+            return
+        for spec in specs:
+            costs = [
+                [table.layer_cost(spec.index, m, k) for m in spec.width_grid]
+                for k in spec.kernel_grid
+            ]
+            for line in costs + [list(by_m) for by_m in zip(*costs)]:
+                assert line == sorted(line)
+            assert costs[0][0] == min(map(min, costs))
 
     def test_interpolation_through_table_lookup(self):
         specs = stride1_specs()[:1]
