@@ -170,7 +170,7 @@ def cmd_train_supernet(args) -> int:
     print(
         f"trained super-network for {cfg.training.epochs} epochs: "
         f"loss {final['loss']:.4f}, full-width holdout accuracy "
-        f"{final.get('holdout_accuracy', float('nan')):.4f}"
+        f"{final['holdout_accuracy']:.4f}"
     )
     print(f"checkpoint: {stage_dir / 'checkpoint.json'}")
     return 0

@@ -122,7 +122,9 @@ class DatasetConfig(_Section):
     height: int = _key(0, lo=1, required=True, kinds=("synthetic",))
     width: int = _key(0, lo=1, required=True, kinds=("synthetic",))
     channels: int = _key(3, lo=1, kinds=("synthetic",))
-    noise: float = _key(0.25, lo=0.0, kinds=("synthetic",))
+    # a float32 standard-normal draw lies within +-8.3, so every noisy pixel
+    # stays below 1e31, far inside float32's 3.4e38
+    noise: float = _key(0.25, lo=0.0, hi=1e30, kinds=("synthetic",))
     path: str = _key("", required=True, kinds=("raster",))
     holdout_fraction: float = _key(0.1, lo=1e-9, hi=0.5)
     test_fraction: float = _key(0.15, lo=1e-9, hi=0.5)

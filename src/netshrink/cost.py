@@ -68,8 +68,8 @@ class LatencyTable:
     `layer_cost` prices (M, k): 0 at M=0, else the stored entry or, with
     interpolation, the linear value within kernel k's measured widths.  A valid
     table prices every grid point, rising in M and k; its stored widths rise in
-    M, and without interpolation it lists M=0 where the grid has it.  A stored
-    M=0 is 0 at stride 1.
+    M from an entry >= 0, and without interpolation it lists M=0 where the grid
+    has it.  A stored M=0 is 0 at stride 1.
     """
 
     def __init__(
@@ -117,6 +117,12 @@ class LatencyTable:
                     raise TableError(
                         f"layer {spec.index}, kernel {k}: latency not non-decreasing in M"
                     )
+                low = min(stored)  # the cheapest entry, as the widths rise in M
+                if stored[low] < 0:
+                    raise TableError(
+                        f"layer {spec.index}: latency at (M={low}, k={k}) must be >= 0, "
+                        f"got {stored[low]}"
+                    )
             for m, line in zip(spec.width_grid, zip(*costs)):
                 if any(b < a for a, b in zip(line, line[1:])):
                     raise TableError(
@@ -160,7 +166,7 @@ class LatencyTable:
                 at_k = f"{at} kernel {k_key!r}"
                 by_kernel[json_key(k_key, at_k)] = row = {}
                 for m_key, ms in json_object(by_m, at_k).items():
-                    row[json_key(m_key, at_k)] = json_number(ms, f"{at_k} width {m_key!r}")
+                    row[json_key(m_key, at_k)] = json_number(ms, f"{at_k} width {m_key!r}", lo=0.0)
         fields = {}
         for field, default in (("device", "unknown"), ("note", ""), ("interpolate", False)):
             value = fields[field] = meta.get(field, default)

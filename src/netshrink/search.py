@@ -41,6 +41,14 @@ SEARCH_LOG_FORMAT = "netshrink-search-log-v2"
 
 _MAX_ITERATIONS = 100_000
 
+# full-width holdout evaluations per super-network training run, at evenly
+# spaced epochs from the first to the last; only the last value is read
+# downstream.  Scoring epoch 0 also spares the training steps' heap: on
+# desk-mcd, glibc's malloc returned and refaulted it every step (9.7k minor
+# faults per epoch) until the first evaluation's larger arrays raised its
+# dynamic trim threshold.
+HOLDOUT_POINTS = 4
+
 
 def _tol(x: float) -> float:
     return 1e-9 * max(1.0, abs(x))
@@ -475,9 +483,14 @@ def train_supernetwork(
 
     Every batch assigns each image one width per layer (near-uniform over the
     grid, independent across layers) and each layer one kernel size drawn
-    uniformly from its grid.  Returns one history row per epoch.
+    uniformly from its grid.  Returns one history row per epoch.  With a
+    `holdout` split, the rows of `HOLDOUT_POINTS` evenly spaced epochs, the
+    first and the last among them, carry the full-width network's
+    `holdout_accuracy`; the evaluation draws nothing from `rng` and writes no
+    weight.
     """
     specs = supernet.specs
+    scored = {round(i * (config.epochs - 1) / (HOLDOUT_POINTS - 1)) for i in range(HOLDOUT_POINTS)}
 
     def forward(x: np.ndarray) -> np.ndarray:
         widths = np.column_stack(
@@ -491,7 +504,7 @@ def train_supernetwork(
     lr = config.learning_rate
     for epoch in range(config.epochs):
         row = {"epoch": epoch, "loss": _sgd_epoch(supernet, train, rng, config, lr, forward)}
-        if holdout is not None:
+        if holdout is not None and epoch in scored:
             row["holdout_accuracy"] = supernet.evaluate(
                 holdout.images, holdout.labels, supernet.full_choice()
             )

@@ -178,6 +178,13 @@ class TestConfigValidation:
         assert str(from_library.value) == str(from_file.value)
         assert str(from_file.value).startswith(name)
 
+    def test_noise_is_bounded_so_images_stay_finite(self, tmp_path):
+        path = write_config(tmp_path / "c.json", dataset={"noise": 1e308})
+        with pytest.raises(ConfigError, match=r"^dataset\.noise: must be <= 1e\+30, got 1e\+308$"):
+            load_config(path)
+        images = cli._load_dataset(load_config(write_config(path, dataset={"noise": 1e30}))).images
+        assert images.dtype == np.float32 and np.isfinite(images).all()
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_search_seed_is_checked(self, seed):
         with pytest.raises(ConfigError, match=r"^search\.seed: "):
@@ -336,6 +343,18 @@ class TestTrainSupernetCommand:
         curve = (a / "training_curve.csv").read_text().strip().split("\n")
         assert curve[0] == "# netshrink-training-curve-v1"
         assert curve[1] == "epoch,loss,holdout_accuracy"
+
+    def test_curve_scores_the_holdout_at_four_epochs_first_and_last(self, tmp_path, capsys):
+        # the benchmark reads the last row's third cell as the super-network's holdout accuracy
+        cfg = write_config(tmp_path / "c.json", training={"epochs": 7})
+        assert main(["train-supernet", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        curve = (tmp_path / "run" / "supernet" / "training_curve.csv").read_text().splitlines()
+        rows = [line.split(",") for line in curve[2:]]
+        assert [row[0] for row in rows] == [str(epoch) for epoch in range(7)]
+        assert [row[2] == "" for row in rows] == [False, True, False, True, False, True, False]
+        last = float(rows[-1][2])
+        assert 0.0 <= last <= 1.0
+        assert f"full-width holdout accuracy {last:.4f}\n" in capsys.readouterr().out
 
     def test_invalid_config_returns_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", training={"epochs": 0})

@@ -214,6 +214,7 @@ class TestLatencyTable:
                 {"meta": {**TABLE_META, "note": {"a": 1}}},
                 "field 'meta.note' must be a string, got {'a': 1}",
             ),
+            ({"meta": TABLE_META, "0": {"3": {"1": -2.0}}}, "width '1': must be a finite number >= 0.0"),
         ],
     )
     def test_malformed_table_names_path_and_field(self, tmp_path, payload, field):
@@ -255,7 +256,7 @@ class TestLatencyTable:
         for layer, by_k in table.layers.items():
             for k, by_m in by_k.items():
                 assert type(layer) is int and type(k) is int
-                assert all(type(m) is int and np.isfinite(v) for m, v in by_m.items())
+                assert all(type(m) is int and np.isfinite(v) and v >= 0 for m, v in by_m.items())
 
     @pytest.mark.parametrize(
         "k_max,widths,by_k,error,match",
@@ -276,6 +277,15 @@ class TestLatencyTable:
         specs = [LayerSpec(index=0, c=3, t=8, k_max=k_max, width_grid=widths)]
         with pytest.raises(error, match=match):
             LatencyTable({0: by_k}, interpolate=True).validate_against(specs)
+
+    @pytest.mark.parametrize("interpolate", [False, True])
+    def test_negative_latency_names_layer_and_point(self, interpolate):
+        # at stride 2 with no M=0 in the grid, no zero entry bounds the widths below
+        specs = [LayerSpec(index=0, c=3, t=2, k_max=3, stride=2, width_grid=(1, 2))]
+        table = LatencyTable({0: {3: {1: -2.0, 2: -1.0}}}, interpolate=interpolate)
+        want = r"^layer 0: latency at \(M=1, k=3\) must be >= 0, got -2.0$"
+        with pytest.raises(TableError, match=want):
+            table.validate_against(specs)
 
     def test_removed_layer_costs_nothing_without_reading_the_table(self):
         assert LatencyTable({0: {}}).layer_cost(0, 0, 3) == 0.0

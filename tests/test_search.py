@@ -756,6 +756,28 @@ class TestTraining:
         acc = net.evaluate(test.images, test.labels, net.full_choice())
         assert acc >= 0.9
 
+    @pytest.mark.parametrize("epochs, scored", [
+        (1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (5, [0, 1, 3, 4]), (24, [0, 8, 15, 23]),
+        (50, [0, 16, 33, 49]),
+    ])
+    def test_holdout_is_scored_at_four_epochs_and_changes_nothing_else(self, epochs, scored):
+        runs = []
+        for holdout_split in (True, False):
+            net = SuperNetwork(small_specs(), (6, 6), 3, rng=np.random.default_rng(16))
+            train, holdout, _ = self.separable_data(seed=13)
+            history = train_supernetwork(
+                net, train, TrainingConfig(epochs=epochs, batch_size=32),
+                np.random.default_rng(6), holdout=holdout if holdout_split else None,
+            )
+            runs.append((history, np.concatenate([p.value.ravel() for p in net.parameters()])))
+        (with_holdout, params), (without, plain_params) = runs
+        accuracies = {r["epoch"]: r["holdout_accuracy"] for r in with_holdout if "holdout_accuracy" in r}
+        assert sorted(accuracies) == scored
+        assert all(0.0 <= a <= 1.0 for a in accuracies.values())
+        assert [r["loss"] for r in with_holdout] == [r["loss"] for r in without]
+        assert all(r.keys() == {"epoch", "loss"} for r in without)
+        np.testing.assert_array_equal(params, plain_params)
+
     def test_one_step_calls_each_traced_kernel_once_per_layer(self, monkeypatch):
         # the benchmark's tracer wraps these module attributes; a training step that
         # reached the kernels another way would leave its per-layer metrics blind
