@@ -134,13 +134,13 @@ def _build_supernet(cfg: ExperimentConfig) -> SuperNetwork:
     )
 
 
-def _build_cost_model(cfg: ExperimentConfig):
+def _build_cost_model(cfg: ExperimentConfig) -> LatencyTable:
+    """The MAC, file or synthetic table the config's metric names, validated against its grid."""
     if cfg.search.metric == "macs":
-        return MacModel(cfg.layers, cfg.input_hw)
-    if cfg.cost.kind == "file":
+        table = MacModel(cfg.layers, cfg.input_hw)
+    elif cfg.cost.kind == "file":
         table = LatencyTable.load(cfg.cost.path)
-        if cfg.cost.interpolate:
-            table.interpolate = True
+        table.interpolate = table.interpolate or cfg.cost.interpolate
     else:
         table = synthetic_latency_table(
             cfg.layers, cfg.input_hw, seed=cfg.seed + cfgmod.SEED_COST,
@@ -252,7 +252,7 @@ def cmd_train_discovered(args) -> int:
         T.save_checkpoint(
             stage_dir / "checkpoint.json",
             discovered.state_dict(),
-            meta={"choice": [list(p) for p in final_choice.pairs]},
+            meta={"choice": [list(p) for p in discovered.choice.pairs]},
         )
         write_json(stage_dir / "architecture.json", net.architecture_json(final_choice))
         write_json(stage_dir / "metrics.json", metrics)

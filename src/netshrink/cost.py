@@ -1,8 +1,10 @@
 """Non-differentiable resource metrics over sub-network choices.
 
-Latency comes from per-layer lookup tables keyed by (width M, kernel k);
-MACs are computed in closed form.  Either way the total for a choice is the
-sum of per-layer values, so the search can budget reductions additively.
+Every metric is a per-layer lookup table keyed by (width M, kernel k): latency
+tables are loaded or synthesized, and MAC counts fill a table in closed form
+(`MacModel`).  The total for a choice is the sum of per-layer values, so the
+search can budget reductions additively; `LatencyTable.layer_cost` is the one
+place that reads a per-layer value.
 """
 from __future__ import annotations
 
@@ -63,13 +65,15 @@ def interpolate_latency(layer_table: dict[int, dict[int, float]], m: int | float
 
 
 class LatencyTable:
-    """Per-layer map (M, k) -> milliseconds, with optional linear-in-M interpolation.
+    """Per-layer map (M, k) -> cost, with optional linear-in-M interpolation.
 
+    The cost is milliseconds for a latency table and MACs for a `MacModel`.
     `layer_cost` prices (M, k): 0 at M=0, else the stored entry or, with
-    interpolation, the linear value within kernel k's measured widths.  A valid
-    table prices every grid point, rising in M and k; its stored widths rise in
-    M from an entry >= 0, and without interpolation it lists M=0 where the grid
-    has it.  A stored M=0 is 0 at stride 1.
+    interpolation, the linear value within kernel k's measured widths; any
+    other (M, k) is a LookupMissError naming the layer.  A valid table prices
+    every grid point, rising in M and k; its stored widths rise in M from an
+    entry >= 0, and without interpolation it lists M=0 where the grid has it.
+    A stored M=0 is 0 at stride 1.
     """
 
     def __init__(
@@ -148,8 +152,8 @@ class LatencyTable:
             },
         })
 
-    @classmethod
-    def load(cls, path: str | Path) -> "LatencyTable":
+    @staticmethod
+    def load(path: str | Path) -> "LatencyTable":
         """Read a table written by `save`; a ParseError names the path and the bad field."""
         raw = json_object(read_json(path, "latency table"), f"latency table {path}")
         meta = json_object(raw.pop("meta", {}), f"latency table {path} field 'meta'")
@@ -175,7 +179,7 @@ class LatencyTable:
                 raise ParseError(
                     f"latency table {path}: field 'meta.{field}' must be {what}, got {value!r}"
                 )
-        return cls(layers, **fields)
+        return LatencyTable(layers, **fields)
 
 
 def synthetic_latency_table(
@@ -206,23 +210,19 @@ def synthetic_latency_table(
                         interpolate=interpolate)
 
 
-class MacModel:
-    """Closed-form MAC counts per layer, no file needed; a valid table's rules hold, M=0 costs 0."""
+class MacModel(LatencyTable):
+    """MAC counts as a v1 table (`device: "macs"`): k*k*C*M*H_out*W_out at every grid point."""
 
     def __init__(self, specs: Sequence[LayerSpec], input_hw: tuple[int, int]):
-        spatial = spatial_flow(specs, input_hw)
-        self._static = {
-            spec.index: (spec.c, h_out, w_out)
-            for spec, (h_out, w_out) in zip(specs, spatial[1:])
-        }
-
-    def layer_cost(self, layer_index: int, m: int, k: int) -> float:
-        if layer_index not in self._static:
-            raise LookupMissError(f"no MAC entry for layer {layer_index}")
-        c, h_out, w_out = self._static[layer_index]
-        return float(layer_macs(c, m, k, h_out, w_out))
+        super().__init__({
+            spec.index: {
+                k: {m: float(layer_macs(spec.c, m, k, h_out, w_out)) for m in spec.width_grid}
+                for k in spec.kernel_grid
+            }
+            for spec, (h_out, w_out) in zip(specs, spatial_flow(specs, input_hw)[1:])
+        }, device="macs", note="k*k*C*M*H_out*W_out")
 
 
-def total_resource(choice: SubNetChoice, model) -> float:
-    """Sum of per-layer costs under `model` (a LatencyTable or MacModel)."""
+def total_resource(choice: SubNetChoice, model: LatencyTable) -> float:
+    """Sum of per-layer costs under `model`, a latency table or a `MacModel`'s MAC table."""
     return float(sum(model.layer_cost(i, m, k) for i, (m, k) in enumerate(choice.pairs)))

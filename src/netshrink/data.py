@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, write_atomic
+from .errors import ConfigError, ParseError
 
 RASTER_MAGIC = b"NSRAST1\0"
 _HEADER = struct.Struct("<5I")  # N, C, H, W, classes; little-endian after the magic
@@ -125,18 +125,6 @@ def three_way_split(
     except ConfigError as e:
         raise ConfigError(f"{key}: {e}") from None
     return train, holdout, test
-
-
-def save_raster(path: str | Path, dataset: Dataset) -> None:
-    """Write the container format: magic, u32 header, u8 pixels, u16 labels."""
-    images = dataset.images
-    if images.min() < 0.0 or images.max() > 1.0:
-        raise ValueError("raster container stores u8 pixels; images must lie in [0, 1]")
-    n, c, h, w = images.shape
-    pixels = np.rint(images * 255.0).astype(np.uint8)
-    labels = dataset.labels.astype("<u2")
-    header = _HEADER.pack(n, c, h, w, dataset.classes)
-    write_atomic(path, b"".join((RASTER_MAGIC, header, pixels.tobytes(), labels.tobytes())))
 
 
 def raster_header(path: str | Path) -> tuple[int, int, int, int, int]:

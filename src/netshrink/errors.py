@@ -111,7 +111,7 @@ def json_key(key: str, at: str) -> int:
     raise ParseError(f"{at}: key must be an integer in canonical decimal form, got {key!r}")
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
+def write_atomic(path: str | Path, data: str) -> None:
     """Replace `path` with `data` in one step: a reader sees the old file or the new one.
 
     The data goes to a temp file in the same directory, which ``os.replace``
@@ -121,7 +121,7 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -120,11 +120,9 @@ def min_resource_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
 
 
 def layer_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice, index: int) -> float:
-    """Largest resource cut achievable by shrinking layer `index` alone."""
-    spec = specs[index]
-    m, k = choice.pairs[index]
-    floor_cost = model.layer_cost(index, spec.width_grid[0], spec.kernel_grid[0])
-    return model.layer_cost(index, m, k) - floor_cost
+    """Largest resource cut achievable by shrinking layer `index` alone, to its minimum."""
+    floor = choice.replace(index, *min_resource_choice(specs).pairs[index])
+    return total_resource(choice, model) - total_resource(floor, model)
 
 
 def scd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice) -> float:
@@ -171,10 +169,11 @@ def generate_mcd_sample(
     by_cut = sorted(
         shrinkable, key=lambda i: (-layer_max_reduction(specs, model, best_prev, i), i)
     )
+    floor = min_resource_choice(specs)
     candidate = best_prev
     forced = 0
     for i in by_cut[:l_eff]:
-        candidate = candidate.replace(i, specs[i].width_grid[0], specs[i].kernel_grid[0])
+        candidate = candidate.replace(i, *floor.pairs[i])
         forced += 1
         if total_resource(candidate, model) <= budget + _tol(budget):
             return candidate

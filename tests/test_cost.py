@@ -1,11 +1,14 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netshrink import cost as costmod
 from netshrink.cost import (
     CO2_LBS_PER_GPU_HOUR,
     LATENCY_TABLE_FORMAT,
@@ -18,6 +21,7 @@ from netshrink.cost import (
     total_resource,
 )
 from netshrink.errors import LookupMissError, NetshrinkError, ParseError, TableError
+from netshrink.search import layer_max_reduction, min_resource_choice
 from netshrink.supernet import LayerSpec, SubNetChoice, full_width_choice, spatial_flow
 
 from reference import count_conv_taps
@@ -293,6 +297,49 @@ class TestLatencyTable:
     def test_mac_model_names_an_unknown_layer(self):
         with pytest.raises(LookupMissError, match="layer 3"):
             MacModel(stride1_specs(), (8, 8)).layer_cost(3, 4, 3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stack=random_stack())
+    def test_mac_counts_are_a_valid_table_and_the_search_prices_whole_choices(
+        self, tmp_path_factory, stack
+    ):
+        specs, hw, choice, seed = stack
+        macs = MacModel(specs, hw)
+        macs.validate_against(specs)
+        path = tmp_path_factory.mktemp("macs") / "macs.json"
+        macs.save(path)
+        loaded = LatencyTable.load(path)
+        assert type(loaded) is LatencyTable and loaded.device == "macs"
+        for spec, (h_out, w_out) in zip(specs, spatial_flow(specs, hw)[1:]):
+            for m in spec.width_grid:
+                for k in spec.kernel_grid:
+                    want = layer_macs(spec.c, m, k, h_out, w_out)
+                    assert macs.layer_cost(spec.index, m, k) == want
+                    assert loaded.layer_cost(spec.index, m, k) == want
+        floor = min_resource_choice(specs)
+        for model in (macs, synthetic_latency_table(specs, hw, seed)):
+            for i, (m, k) in enumerate(choice.pairs):
+                want = model.layer_cost(i, m, k) - model.layer_cost(i, *floor.pairs[i])
+                got = layer_max_reduction(specs, model, choice, i)
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_only_the_table_defines_or_calls_layer_cost(self):
+        # one pricing implementation: the search and the CLI go through total_resource
+        defined, offenders = [], []
+        for path in sorted(Path(costmod.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                body = getattr(node, "body", [])
+                defined += [
+                    (path.name, getattr(node, "name", None))
+                    for child in (body if isinstance(body, list) else [])
+                    if isinstance(child, ast.FunctionDef) and child.name == "layer_cost"
+                ]
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name == "layer_cost" and path.name != "cost.py":
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert defined == [("cost.py", "LatencyTable")]
+        assert offenders == []
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

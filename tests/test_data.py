@@ -11,12 +11,13 @@ from netshrink.data import (
     _class_ids,
     load_raster,
     raster_header,
-    save_raster,
     split,
     synth_classification,
     three_way_split,
 )
 from netshrink.errors import ParseError
+
+from reference import save_raster
 
 
 class TestSynthClassification:
