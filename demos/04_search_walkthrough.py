@@ -2,9 +2,12 @@
 
 Every iteration must shave a scheduled amount of latency off the previous
 best sample (3% of the initial latency, decaying by 0.98).  A single-layer
-step (SCD) can never cut more than the cheapest layer's own latency in one
-iteration; the multi-layer step (MCD) can cut up to the total of L layers,
-which is why it needs fewer iterations on deep nets.
+step (SCD) can never cut more in one iteration than the largest cut any one
+layer makes alone (here layer 0 removed whole, 1.794 ms; the cheapest layer
+costs 0.434 ms); the multi-layer step (MCD) can cut up to the sum of the L
+largest single-layer cuts, which is why it needs fewer iterations on deep
+nets.  `run_search` calls neither bound: it checks the schedule's total and
+the minimum-resource choice.
 """
 import numpy as np
 

@@ -2,7 +2,8 @@
 
 Uses demos/smoke_config.json (seed 7).  The recorded baseline behind the
 shipped thresholds: full-width test accuracy 0.969, discovered 0.990 at
-1.302 ms against a 1.437 ms target, ~5 s total on a laptop CPU.
+1.356 ms against a 1.437 ms target; the report's total read 1.2-2.4 s on a
+2-vCPU Xeon.
 """
 import sys
 import time

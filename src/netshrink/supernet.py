@@ -414,24 +414,20 @@ class _Network:
         return {p.name: p.value for p in self.parameters()}
 
     def _forward(
-        self, layers: Sequence[Layer], x: np.ndarray, record: bool, start: int = 0,
-        capture: list | None = None, keeps: Sequence[np.ndarray] | None = None,
+        self, layers: Sequence[Layer], x: np.ndarray, record: bool,
+        keeps: Sequence[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Logits of `layers` from layer `start` on `x`, the input of layer `start`.
+        """Logits of `layers` on `x` in one pass, as a training step and `SubNetwork.forward` run.
 
-        `capture`, a list indexed by layer, receives the input of every layer
-        from `start` up to its length; `keeps`, one ordered-dropout mask per
-        layer, is `_layer_forward`'s `keep`.  With `record`, keeps what
+        Evaluation runs `_predict` instead.  `keeps`, one ordered-dropout mask
+        per layer, is `_layer_forward`'s `keep`.  With `record`, keeps what
         `backward` reads.
         """
         caches = []
-        out = x
-        for i, layer in enumerate(layers[start:], start):
-            if capture is not None and i < len(capture):
-                capture[i] = out
-            out, cache = _layer_forward(layer, out, record, None if keeps is None else keeps[i])
+        for i, layer in enumerate(layers):
+            x, cache = _layer_forward(layer, x, record, None if keeps is None else keeps[i])
             caches.append(cache)
-        logits, head = self._head_forward(out)
+        logits, head = self._head_forward(x)
         if record:
             self._cache = {"layers": layers, "caches": caches, "head": head}
         return logits
@@ -439,25 +435,19 @@ class _Network:
     def _predict(
         self, layers: Sequence[Layer], x: np.ndarray, start: int = 0, capture: list | None = None
     ) -> np.ndarray:
-        """Logits of `_forward` run EVAL_BATCH_SIZE images at a time.
+        """Logits of `layers` from layer `start` on `x`, the input of layer `start`.
 
-        `capture` receives the input of each layer from `start` up to its
-        length for all of `x`, one array per layer; layer `start`'s is `x`
-        itself.  The batches are joined after the last one has run: an array
-        filled batch by batch would live through every batch's temporaries
-        and raise the peak memory.
+        Each layer, then the head, runs over all of `x` in batches of
+        EVAL_BATCH_SIZE images (`_batched`) before the next one starts, so
+        every layer sees the images in the same batches whatever `start` is.
+        `capture`, a list indexed by layer, receives the input of every layer
+        from `start` up to its length: the array the loop holds there.
         """
-        stop = 0 if capture is None else len(capture)
-        logits, inputs = [], []
-        for lo in range(0, x.shape[0], EVAL_BATCH_SIZE):
-            batch = [None] * stop
-            logits.append(self._forward(layers, x[lo : lo + EVAL_BATCH_SIZE], False, start, batch))
-            inputs.append(batch)
-        if start < stop:
-            capture[start] = x
-        for i in range(start + 1, stop):
-            capture[i] = np.concatenate([batch[i] for batch in inputs])
-        return np.concatenate(logits)
+        for i, layer in enumerate(layers[start:], start):
+            if capture is not None and i < len(capture):
+                capture[i] = x
+            x = _batched(lambda batch: _layer_forward(layer, batch, False)[0], x)
+        return _batched(lambda batch: self._head_forward(batch)[0], x)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the last recorded forward pass."""
@@ -493,13 +483,18 @@ class _Network:
 EVAL_BATCH_SIZE = 64
 
 
-def _score(logits: np.ndarray, labels: np.ndarray,
-           batch_size: int = EVAL_BATCH_SIZE) -> tuple[float, float]:
-    """Top-1 accuracy and mean cross-entropy of `logits`, the loss averaged per batch."""
+def _batched(step, x: np.ndarray) -> np.ndarray:
+    """`step` over `x`, EVAL_BATCH_SIZE images at a time, its outputs joined along axis 0."""
+    batches = range(0, len(x), EVAL_BATCH_SIZE)
+    return np.concatenate([step(x[lo : lo + EVAL_BATCH_SIZE]) for lo in batches])
+
+
+def _score(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Top-1 accuracy and mean cross-entropy of `logits`, the loss averaged per evaluation batch."""
     n = len(labels)
     loss_sum = 0.0
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, EVAL_BATCH_SIZE):
+        hi = min(lo + EVAL_BATCH_SIZE, n)
         loss_sum += T.softmax_cross_entropy(logits[lo:hi], labels[lo:hi])[0] * (hi - lo)
     return int((logits.argmax(axis=1) == labels).sum()) / n, loss_sum / n
 
@@ -590,8 +585,9 @@ class SuperNetwork(_Network):
     ) -> np.ndarray:
         """Logits of the chosen sub-network on the shared tensors; copies no weight.
 
-        `x` is the input of layer `start`; the layers below it do not run.  It
-        runs in batches, and `capture` fills as `_Network._predict` says.
+        `x` is the input of layer `start`; the layers below it do not run.
+        Each layer runs over all of `x` in batches before the next, and
+        `capture` receives the arrays the loop holds (`_Network._predict`).
         """
         check_choice(self.specs, choice)
         return self._predict(_layers(self.specs, choice, self.weights, self.biases), x, start, capture)

@@ -328,5 +328,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if overflow.any():
             first = float(data[overflow][0])
             raise ParseError(f"{at_t} field 'data': {first!r} is beyond the float32 range")
-        tensors[name] = value.reshape(shape)
+        try:
+            tensors[name] = value.reshape(shape)
+        except ValueError:  # a 0 beside extents whose product numpy cannot hold
+            raise ParseError(f"{at_shape}: {shape} is too big for an array") from None
     return tensors, meta

@@ -731,6 +731,21 @@ def bool_shape_checkpoint_search(tmp_path: Path) -> tuple[list[str], list[str]]:
     )
 
 
+def unholdable_shape_checkpoint_search(tmp_path: Path) -> tuple[list[str], list[str]]:
+    """`search` on a checkpoint whose layer 0 weight is empty but of shape [2**62, 0]."""
+    cfg = write_config(tmp_path / "c.json")
+    checkpoint = tmp_path / "checkpoint.json"
+    cli._build_supernet(load_config(cfg)).save(checkpoint)
+    payload = json.loads(checkpoint.read_text())
+    payload["tensors"]["layer0.weight"] = {"shape": [2**62, 0], "data": []}
+    checkpoint.write_text(json.dumps(payload))
+    return (
+        ["search", "--config", str(cfg), "--out", str(tmp_path / "run"),
+         "--checkpoint", str(checkpoint)],
+        [str(checkpoint), "tensor layer0.weight field 'shape'"],
+    )
+
+
 def discovered_argv(tmp_path: Path, *flags: str) -> list[str]:
     cfg = write_config(tmp_path / "c.json")
     return ["train-discovered", "--config", str(cfg), "--out", str(tmp_path / "run"), *flags]
@@ -832,6 +847,7 @@ class TestBadInputFailsCleanly:
             ),
             pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
             pytest.param(bool_shape_checkpoint_search, id="checkpoint-bool-shape"),
+            pytest.param(unholdable_shape_checkpoint_search, id="checkpoint-unholdable-shape"),
             pytest.param(missing_width_table_run, id="latency-table-missing-width"),
             pytest.param(
                 lambda tmp: (discovered_argv(tmp), ["neither --architecture given nor"]),

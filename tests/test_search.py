@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netshrink import search
+from netshrink import search, supernet
 from netshrink import tensor as T
 from netshrink.config import DiscoveredConfig, TrainingConfig
 from netshrink.cost import LatencyTable, synthetic_latency_table, total_resource
@@ -39,7 +39,7 @@ from netshrink.search import (
     write_trajectory,
 )
 from netshrink.supernet import (
-    LayerSpec, SubNetChoice, SuperNetwork, _score, first_changed_layer, full_width_choice,
+    LayerSpec, SubNetChoice, SuperNetwork, first_changed_layer, full_width_choice,
 )
 
 from test_supernet import random_stack
@@ -356,18 +356,15 @@ class TestEvaluation:
         assert accuracy in (0.0, 1.0)
         assert loss > 0.0
 
-    def test_batches_sum_to_the_one_batch_score(self):
+    def test_batches_sum_to_the_one_batch_score(self, monkeypatch):
         specs = small_specs()
         net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(11))
         holdout = tiny_holdout(seed=6)
         choice = SubNetChoice(((3, 3), (4, 5), (6, 3)))
 
-        one = net.forward_eval(holdout.images, choice)
-        four = np.concatenate(  # 4+4+4+3
-            [net.forward_eval(holdout.images[lo : lo + 4], choice) for lo in range(0, 15, 4)]
-        )
-        accuracy, loss = _score(one, holdout.labels, len(holdout))
-        batched = _score(four, holdout.labels, 4)
+        accuracy, loss = evaluate_sample(net, choice, holdout)  # 15 images, one batch
+        monkeypatch.setattr(supernet, "EVAL_BATCH_SIZE", 4)
+        batched = evaluate_sample(net, choice, holdout)  # 4+4+4+3
         assert batched[0] == accuracy
         assert batched[1] == pytest.approx(loss, rel=1e-6)
 

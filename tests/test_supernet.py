@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from netshrink import tensor as T
 from netshrink.errors import GridError, NetshrinkError, ParseError, ShapeError, StateError
+from netshrink.search import min_resource_choice
 from netshrink.supernet import (
     ChannelSource,
     Layer,
@@ -1164,3 +1165,16 @@ class TestChannelFlowHelper:
         assert channel_flow(specs, choice) == [2, 4, 4]
         choice2 = SubNetChoice(((8, 3), (0, 3)))
         assert channel_flow(specs, choice2) == [2, 8, 8]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=random_stack())
+    def test_flow_never_grows_as_a_width_shrinks(self, case):
+        """So the minimum-resource choice has the least flow at every layer."""
+        specs, _, choice, _ = case
+        flow = channel_flow(specs, choice)
+        for i, (spec, (m, k)) in enumerate(zip(specs, choice.pairs)):
+            for smaller in (w for w in spec.width_grid if w < m):
+                shrunk = channel_flow(specs, choice.replace(i, smaller, k))
+                assert all(a <= b for a, b in zip(shrunk, flow)), (specs, choice, i, smaller)
+        least = channel_flow(specs, min_resource_choice(specs))
+        assert all(a <= b for a, b in zip(least, flow)), (specs, choice)

@@ -415,6 +415,16 @@ class TestCheckpoint:
                 {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [1], "data": [-1e39]}}},
                 r"tensor w field 'data': -1e\+39 is beyond the float32 range",
             ),
+            # no element, but numpy cannot hold the product of the other extents
+            (
+                {"format": T.CHECKPOINT_FORMAT, "tensors": {"w": {"shape": [2**62, 0], "data": []}}},
+                r"tensor w field 'shape': \[4611686018427387904, 0\] is too big",
+            ),
+            (
+                {"format": T.CHECKPOINT_FORMAT,
+                 "tensors": {"w": {"shape": [2**40, 2**40, 0], "data": []}}},
+                r"tensor w field 'shape': \[1099511627776, 1099511627776, 0\] is too big",
+            ),
         ],
     )
     def test_malformed_payload_names_path_and_field(self, tmp_path, payload, match):
