@@ -203,18 +203,33 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _parse_layers(raw_net: dict, channels: int) -> tuple[LayerSpec, ...]:
+# a desk-scale cap on a layer's filters: a 1024 x 1024 layer of 3 x 3 kernels
+# holds 36 MiB of float32 weights, and as many again of gradients
+MAX_FILTERS = 1024
+
+
+def _parse_layers(raw_net: dict, channels: int, input_hw: tuple[int, int]) -> tuple[LayerSpec, ...]:
+    """The layer specs of the `network` section, for inputs of `channels` x `input_hw`.
+
+    A layer's kernel may not exceed the smaller extent of its input, the rule
+    `SuperNetwork` enforces, checked here before any kernel grid is built.
+    """
     _section(raw_net, "network", {"layers"}, {"layers"})
     rows = raw_net["layers"]
     if not isinstance(rows, list) or not rows:
         raise ConfigError("network.layers: must be a nonempty list")
     specs = []
-    c_in = channels
+    c_in, (h, w) = channels, input_hw
     for i, row in enumerate(rows):
         name = f"network.layers[{i}]"
         _section(row, name, {"filters", "kernel", "stride", "width_grid", "kernel_grid"}, set())
-        filters = _value(f"{name}.filters", row.get("filters", c_in), int, lo=1)
+        filters = _value(f"{name}.filters", row.get("filters", c_in), int, lo=1, hi=MAX_FILTERS)
         kernel = _value(f"{name}.kernel", row.get("kernel", 3), int, lo=3)
+        if kernel > min(h, w):
+            raise ConfigError(
+                f"{name}.kernel: must be <= {min(h, w)}, the smaller extent of the layer's "
+                f"{h}x{w} input, got {kernel}"
+            )
         stride = _value(f"{name}.stride", row.get("stride", 1), int, lo=1, hi=2)
         grids = {g: row.get(g, []) for g in ("width_grid", "kernel_grid")}
         for g, grid in grids.items():
@@ -233,8 +248,8 @@ def _parse_layers(raw_net: dict, channels: int) -> tuple[LayerSpec, ...]:
                 )
             )
         except Exception as e:
-            raise ConfigError(f"{name}: {e}") from e
-        c_in = filters
+            raise ConfigError(f"{name}: {str(e) or type(e).__name__}") from e
+        c_in, h, w = filters, -(-h // stride), -(-w // stride)
     return tuple(specs)
 
 
@@ -262,7 +277,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
                 at = f"dataset.path: {data_path} header field {f.name!r}"
                 _value(at, header[f.name], int, f.metadata["lo"], f.metadata["hi"])
         dataset = replace(dataset, path=str(data_path), **header)
-    layers = _parse_layers(raw["network"], dataset.channels)
+    layers = _parse_layers(raw["network"], dataset.channels, (dataset.height, dataset.width))
     training = _parse(TrainingConfig, raw.get("training", {}))
 
     search = _parse(SearchConfig, raw["search"])

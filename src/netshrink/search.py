@@ -126,12 +126,26 @@ def layer_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice,
 
 
 def scd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice) -> float:
-    """Best per-iteration cut a single-layer step can achieve from `choice`."""
+    """Best per-iteration cut a single-layer step can achieve from `choice`.
+
+    An analysis of the SCD optimizer's capacity, for the tests and demos:
+    `run_search` does not call it.  The search's feasibility checks are the
+    geometric schedule's total against the target and the minimum-resource
+    choice; within an iteration, `generate_scd_samples` returning no sample
+    is what stops an SCD search.
+    """
     return max(layer_max_reduction(specs, model, choice, i) for i in range(len(specs)))
 
 
 def mcd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice, l_layers: int) -> float:
-    """Best per-iteration cut an L-layer step can achieve (sum of the L largest)."""
+    """Best per-iteration cut an L-layer step can achieve (sum of the L largest).
+
+    An analysis of the MCD optimizer's capacity, for the tests and demos:
+    `run_search` does not call it.  The search's feasibility checks are the
+    geometric schedule's total against the target and the minimum-resource
+    choice; within an iteration, `generate_mcd_sample` raises
+    FeasibilityError when even its escalation cannot meet the cut.
+    """
     cuts = sorted(
         (layer_max_reduction(specs, model, choice, i) for i in range(len(specs))), reverse=True
     )
@@ -466,7 +480,7 @@ def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Ge
         net.zero_grad()
         loss, dlogits = T.softmax_cross_entropy(forward(train.images[idx]), train.labels[idx])
         net.backward(dlogits)
-        T.sgd_step(net.parameters(), lr, config.weight_decay)
+        T.sgd_step([net.flat], lr, config.weight_decay)
         losses.append(loss)
     return float(np.mean(losses))
 

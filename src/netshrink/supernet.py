@@ -14,7 +14,7 @@ serve both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
@@ -76,8 +76,9 @@ def sample_width_assignments(n: int, width_grid: Sequence[int], rng: np.random.G
     if n < 1 or grid.size == 0:
         raise GridError(f"need n >= 1 and a nonempty grid, got n={n}, grid={width_grid}")
     base, rem = divmod(n, grid.size)
-    counts = np.full(grid.size, base)
+    counts = base
     if rem:
+        counts = np.full(grid.size, base)
         counts[rng.choice(grid.size, size=rem, replace=False)] += 1
     widths = np.repeat(grid, counts)
     rng.shuffle(widths)
@@ -295,7 +296,11 @@ class Layer:
     `weight` and `bias` hold at least the layer's `prefix_slice`: the
     super-network's full tensors in training and evaluation, an extracted
     network's own copies otherwise.  At M = 0 they are None and the layer
-    passes inputs on.
+    passes inputs on.  `w` and `b` are the `prefix_slice` views of their
+    values that the layer runs on, and `dw` and `db` the same views of their
+    grads, taken once here.  A network flattens its Parameters (`T.flatten`)
+    before it builds layers on them; after that their arrays never move, as
+    an assignment to `value` or `grad` writes into them, so the views stay live.
     """
 
     spec: LayerSpec
@@ -304,6 +309,16 @@ class Layer:
     z_in: int
     weight: T.Parameter | None
     bias: T.Parameter | None
+    w: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    b: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    dw: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    db: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.m > 0:
+            self.w = prefix_slice(self.weight.value, self.m, self.z_in, self.k)
+            self.dw = prefix_slice(self.weight.grad, self.m, self.z_in, self.k)
+            self.b, self.db = self.bias.value[: self.m], self.bias.grad[: self.m]
 
 
 def _layers(specs: Sequence[LayerSpec], choice: SubNetChoice, weights, biases) -> list[Layer]:
@@ -326,9 +341,10 @@ def _layer_forward(
     """`sliced_layer` on the layer's prefix slices; returns (out, cache or None).
 
     With `record`, the cache holds what `_layer_backward` reads.  `keep`, a
-    bool ordered-dropout mask [N, M, 1, 1] at full width, masks the output in
-    place and, at stride 1, routes the inputs it drops through: multiplying by
-    a bool is multiplying by 1.0 or 0.0, so this is ``relu(y)*mask + x*(1 - mask)``.
+    float 0/1 ordered-dropout mask [N, M, 1, 1] at full width, masks the
+    output in place and, at stride 1, routes the inputs it drops through:
+    ``relu(y)*keep + x*(1 - keep)``.  The ReLU gate the backward applies is
+    then the masked output > 0, taken before the bypass is added.
     """
     spec, m = layer.spec, layer.m
     if x.shape[1] != layer.z_in:
@@ -336,25 +352,23 @@ def _layer_forward(
             f"layer {spec.index}: expected {layer.z_in} input channels, "
             f"got {x.shape[1]} on axis 1"
         )
-    weight = bias = cols = None
-    if m > 0:
-        if record:
-            cols = T.im2col(x, layer.k, spec.stride)
-        weight = prefix_slice(layer.weight.value, m, layer.z_in, layer.k)
-        bias = layer.bias.value[:m]
-    out, y = sliced_layer(spec, x, m, weight, bias, cols)
-    dropped = None
-    if keep is not None:
+    cols = T.im2col(x, layer.k, spec.stride) if record and m > 0 else None
+    out, y = sliced_layer(spec, x, m, layer.w, layer.b, cols)
+    gate = dropped = None
+    if keep is None:
+        if record and y is not None:
+            gate = y > 0
+    else:
         out *= keep  # at full width `out` is relu(y), a fresh array
+        if record:
+            # relu(y)*keep > 0 exactly where keep is 1 and y > 0: inf*0 is NaN, and NaN > 0 is False
+            gate = out > 0
         end = spec.bypass_end(layer.z_in)
         if end:  # at stride 2 even an empty slice of x fails to broadcast against out
-            dropped = ~keep[:, :end]
+            dropped = 1 - keep[:, :end]
             out[:, :end] += x[:, :end] * dropped
     if not record:
         return out, None
-    gate = None
-    if y is not None:  # keep & (y > 0): the one product the backward lets dout through
-        gate = y > 0 if keep is None else keep & (y > 0)
     return out, {"x": x, "cols": cols, "gate": gate, "dropped": dropped}
 
 
@@ -368,11 +382,9 @@ def _layer_backward(layer: Layer, dout: np.ndarray, cache: dict, need_dx: bool) 
     dx = None
     if m > 0:
         dy = dout[:, :m] * cache["gate"]
-        w = prefix_slice(layer.weight.value, m, layer.z_in, layer.k)
-        dx, dw = T.conv2d_backward(dy, x, w, spec.stride, cols=cache["cols"], need_dx=need_dx)
-        grad = prefix_slice(layer.weight.grad, m, layer.z_in, layer.k)
-        grad += dw
-        layer.bias.grad[:m] += dy.sum(axis=(0, 2, 3))
+        dx, dw = T.conv2d_backward(dy, x, layer.w, spec.stride, cols=cache["cols"], need_dx=need_dx)
+        layer.dw += dw
+        layer.db += np.add.reduce(dy, axis=(0, 2, 3))
     if not need_dx:
         return None
     hi = spec.bypass_end(layer.z_in)
@@ -402,13 +414,15 @@ class _Network:
 
     head_w: T.Parameter
     head_b: T.Parameter
+    # every Parameter's value and grad are views of this one's (`T.flatten`), so a
+    # training step zeroes and updates them all in one call each
+    flat: T.Parameter
 
     def parameters(self) -> list[T.Parameter]:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat.zero_grad()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
@@ -419,8 +433,8 @@ class _Network:
     ) -> np.ndarray:
         """Logits of `layers` on `x` in one pass, as a training step and `SubNetwork.forward` run.
 
-        Evaluation runs `_predict` instead.  `keeps`, one ordered-dropout mask
-        per layer, is `_layer_forward`'s `keep`.  With `record`, keeps what
+        Evaluation runs `_predict` instead.  `keeps`, one float ordered-dropout
+        mask per layer, is `_layer_forward`'s `keep`.  With `record`, keeps what
         `backward` reads.
         """
         caches = []
@@ -456,9 +470,10 @@ class _Network:
         cache, self._cache = self._cache, None
         dout = self._head_backward(dlogits, cache["head"])
         layers = cache["layers"]
+        # a layer needs dx when some layer below it has weights
+        first = next((i for i, l in enumerate(layers) if l.m > 0), len(layers))
         for i in reversed(range(len(layers))):
-            need_dx = any(l.m > 0 for l in layers[:i])  # some layer below has weights
-            dout = _layer_backward(layers[i], dout, cache["caches"][i], need_dx)
+            dout = _layer_backward(layers[i], dout, cache["caches"][i], i > first)
 
     def _head_forward(self, out: np.ndarray) -> tuple[np.ndarray, dict]:
         """Logits of the last feature map, plus the head's part of the backward cache.
@@ -474,7 +489,7 @@ class _Network:
         """Accumulate head gradients; returns the gradient of the last feature map."""
         dfeat, dw = T.dense_backward(dlogits, cache["feat"], self.head_w.value)
         self.head_w.grad += dw
-        self.head_b.grad += dlogits.sum(axis=0)
+        self.head_b.grad += np.add.reduce(dlogits, axis=0)
         return T.global_avg_pool_backward(dfeat, cache["conv_shape"])
 
 
@@ -544,7 +559,14 @@ class SuperNetwork(_Network):
             self.biases.append(T.Parameter(np.zeros(s.t, dtype=dtype), f"layer{s.index}.bias"))
         self.head_w = T.Parameter(_he(rng, (classes, specs[-1].t), dtype), "head.weight")
         self.head_b = T.Parameter(np.zeros(classes, dtype=dtype), "head.bias")
+        self.flat = T.flatten(self.parameters())
         self._cache: dict | None = None
+        # what a training step needs that depends only on shapes: the full-width
+        # layers of each kernel tuple, built on first use, and each layer's float
+        # ordered-dropout masks, row w keeping the first w of T channels
+        self._train_layers: dict[tuple[int, ...], list[Layer]] = {}
+        self._keep_rows = [ordered_dropout_mask(np.arange(s.t + 1), s.t).astype(dtype) for s in specs]
+        self._t = np.array([s.t for s in self.specs])
 
     # -- basics -------------------------------------------------------------
 
@@ -560,7 +582,8 @@ class SuperNetwork(_Network):
         """Full-size forward with per-image widths [N, L] and per-layer kernels [L].
 
         Each layer runs at full width T on its kernel's window under its
-        column of `widths` as an ordered-dropout mask.
+        column of `widths` as an ordered-dropout mask: a float 0/1 array
+        [N, T, 1, 1], the `ordered_dropout_mask` rows as numbers.
         """
         widths = np.asarray(widths)
         if widths.shape != (x.shape[0], len(self.specs)):
@@ -570,9 +593,14 @@ class SuperNetwork(_Network):
             )
         if len(kernels) != len(self.specs):
             raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
-        full = SubNetChoice(tuple((s.t, k) for s, k in zip(self.specs, kernels)))
-        layers = _layers(self.specs, full, self.weights, self.biases)
-        keeps = [ordered_dropout_mask(w, s.t)[:, :, None, None] for s, w in zip(self.specs, widths.T)]
+        if widths.dtype.kind not in "iu" or (widths < 0).any() or (widths > self._t).any():
+            raise GridError(f"widths must be integers in [0, T={self._t.tolist()}] per layer, got {widths}")
+        key = tuple(kernels)
+        layers = self._train_layers.get(key)
+        if layers is None:
+            full = SubNetChoice(tuple((s.t, k) for s, k in zip(self.specs, kernels)))
+            layers = self._train_layers[key] = _layers(self.specs, full, self.weights, self.biases)
+        keeps = [rows[w][:, :, None, None] for rows, w in zip(self._keep_rows, widths.T)]
         return self._forward(layers, x, True, keeps=keeps)
 
     # bench/bench_trace.py traces the training backward through this class's own namespace
@@ -643,8 +671,8 @@ class SuperNetwork(_Network):
                     f"tensor {p.name!r}: checkpoint shape {tensors[p.name].shape} "
                     f"!= network shape {p.value.shape}"
                 )
-            p.value = tensors[p.name].astype(p.value.dtype)
-            p.grad = np.zeros_like(p.value)
+            p.value = tensors[p.name]  # written into the flat vector's view
+        self.zero_grad()
 
     # -- extraction --------------------------------------------------------------
 
@@ -665,12 +693,18 @@ class SuperNetwork(_Network):
 # ---------------------------------------------------------------------------
 
 class SubNetwork(_Network):
-    """A discovered architecture with its own weights; ``layers[i]`` is spec layer i."""
+    """A discovered architecture with its own weights; ``layers[i]`` is spec layer i.
 
-    def __init__(self, layers: list[Layer], head_w: T.Parameter, head_b: T.Parameter):
+    `flat` is ``T.flatten`` of `parameters()`, flattened before `layers` were
+    built on them (`_copied`).
+    """
+
+    def __init__(self, layers: list[Layer], head_w: T.Parameter, head_b: T.Parameter,
+                 flat: T.Parameter):
         self.layers = layers
         self.head_w = head_w
         self.head_b = head_b
+        self.flat = flat
         self._cache: dict | None = None
 
     @property
@@ -709,7 +743,8 @@ def _copied(specs, choice, weights, biases, head_w, head_b, rng=None) -> SubNetw
     Each layer with M > 0 copies its `prefix_slice`, and the head the first z
     columns of `head_w` for the final z channels.  With a Generator the
     weights are instead a fresh He init of those shapes, drawn layers first
-    and then the head, and the biases are zero.
+    and then the head, and the biases are zero.  The copies are flattened
+    into one vector before the layers take their views.
     """
     def own(w: np.ndarray, b: np.ndarray, name: str) -> tuple[T.Parameter, T.Parameter]:
         w, b = (w.copy(), b.copy()) if rng is None else (_he(rng, w.shape, w.dtype), np.zeros_like(b))
@@ -721,8 +756,9 @@ def _copied(specs, choice, weights, biases, head_w, head_b, rng=None) -> SubNetw
         for l in _layers(specs, choice, weights, biases)
     ]
     z = channel_flow(specs, choice)[-1]
-    layers = _layers(specs, choice, *zip(*owned))
-    return SubNetwork(layers, *own(head_w.value[:, :z], head_b.value, "head"))
+    head = own(head_w.value[:, :z], head_b.value, "head")
+    flat = T.flatten([p for pair in (*owned, head) for p in pair if p is not None])
+    return SubNetwork(_layers(specs, choice, *zip(*owned)), *head, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -23,21 +23,71 @@ class Parameter:
     """A trainable array paired with a gradient of the same shape.
 
     The gradient accumulates additively across backward passes until
-    ``zero_grad`` is called.
+    ``zero_grad`` is called.  Assigning to ``value`` or ``grad`` writes into
+    the array the Parameter holds, so views of it, and the vector `flatten`
+    made it a view of, keep seeing the Parameter's numbers.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "_value", "_grad")
 
     def __init__(self, value: np.ndarray, name: str = ""):
-        self.value = np.ascontiguousarray(value)
-        self.grad = np.zeros_like(self.value)
+        self._value = np.ascontiguousarray(value)
+        self._grad = np.zeros_like(self._value)
         self.name = name
 
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, new: np.ndarray) -> None:
+        _write(self._value, new, f"{self!r} value")
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, new: np.ndarray) -> None:
+        _write(self._grad, new, f"{self!r} grad")
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad.fill(0)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name or 'unnamed'}, shape={self.value.shape})"
+        return f"Parameter({self.name or 'unnamed'}, shape={self._value.shape})"
+
+
+def _write(dst: np.ndarray, new: np.ndarray, what: str) -> None:
+    """Copy `new` into `dst`, which must have its shape; `x += y` hands back `dst` itself."""
+    if new is dst:
+        return
+    if np.shape(new) != dst.shape:
+        raise ShapeError(f"{what}: cannot assign an array of shape {np.shape(new)}")
+    dst[...] = new
+
+
+def flatten(params: list[Parameter], name: str = "flat") -> Parameter:
+    """One Parameter over all of `params`, which must share a dtype.
+
+    Its value and grad are the concatenation of theirs, and each of `params`
+    then holds views of those two vectors, so one operation on the flat
+    Parameter acts on every one of them.  Views taken of a Parameter before
+    this call keep the old arrays: flatten a network's Parameters before its
+    layers slice them.
+    """
+    dtype = params[0].value.dtype
+    if any(p.value.dtype != dtype for p in params):
+        raise ShapeError(f"flatten needs one dtype, got {sorted({str(p.value.dtype) for p in params})}")
+    flat = Parameter(np.concatenate([p.value.ravel() for p in params]), name)
+    flat.grad = np.concatenate([p.grad.ravel() for p in params])
+    lo = 0
+    for p in params:
+        hi = lo + p.value.size
+        p._value = flat.value[lo:hi].reshape(p.value.shape)
+        p._grad = flat.grad[lo:hi].reshape(p.value.shape)
+        lo = hi
+    return flat
 
 
 def _require(cond: bool, message: str) -> None:
@@ -169,8 +219,9 @@ def conv2d_backward(
         f"{x.shape} and weights {w.shape} at stride {stride} has {expect}",
     )
     # dy on the columns' [F, N*H_out*Wq] grid, zero in the cropped columns
-    dyq = np.zeros((f, n, h_out, wq), dtype=dy.dtype)
+    dyq = np.empty((f, n, h_out, wq), dtype=dy.dtype)
     dyq[..., :w_out] = dy.transpose(1, 0, 2, 3)
+    dyq[..., w_out:] = 0
     dyq = dyq.reshape(f, -1)
     # dW = dyq @ cols.T; OpenBLAS runs the [C*k*k, F] product about twice as fast
     dw = (cols @ dyq.T).T.reshape(w.shape)
@@ -232,7 +283,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """[N, C, H, W] -> [N, C] channel means."""
     _require(x.ndim == 4, f"pool input must be 4-D NCHW, got rank {x.ndim}")
-    return x.mean(axis=(2, 3))
+    # the sum and division x.mean makes, without its Python-level wrapper
+    return np.add.reduce(x, axis=(2, 3)) / (x.shape[2] * x.shape[3])
 
 
 def global_avg_pool_backward(dy: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
@@ -243,9 +295,9 @@ def global_avg_pool_backward(dy: np.ndarray, input_shape: tuple[int, ...]) -> np
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(

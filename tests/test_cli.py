@@ -214,6 +214,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(where)):
             load_config(path)
 
+    def test_kernel_is_bounded_by_the_extent_after_each_stride(self, tmp_path):
+        # 6x6 inputs: a stride-2 layer leaves its successor 3x3, so kernel 5 is too big there
+        layers = [{"filters": 6, "kernel": 5, "stride": 2}, {"filters": 6, "kernel": 5}]
+        path = write_config(tmp_path / "c.json", network={"layers": layers})
+        with pytest.raises(
+            ConfigError, match=re.escape("network.layers[1].kernel: must be <= 3") + ".*3x3 input"
+        ):
+            load_config(path)
+        layers[1]["kernel"] = 3
+        path = write_config(tmp_path / "c.json", network={"layers": layers})
+        assert [s.k_max for s in load_config(path).layers] == [5, 3]
+
+    def test_a_wrapped_layer_error_is_never_empty(self, tmp_path, monkeypatch):
+        def no_memory(**kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cfgmod, "LayerSpec", no_memory)
+        with pytest.raises(ConfigError, match=re.escape("network.layers[0]: MemoryError")):
+            load_config(write_config(tmp_path / "c.json"))
+
     @pytest.mark.parametrize("value", ["no", 0, [1]])
     def test_interpolate_must_be_a_json_boolean(self, tmp_path, value):
         path = write_config(tmp_path / "c.json", cost={"interpolate": value})
@@ -844,6 +864,24 @@ class TestBadInputFailsCleanly:
                     ["macs metric needs no table file", "cost.kind"],
                 ),
                 id="cost-file-with-macs-metric",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", network={"layers": [{"filters": 6, "kernel": 2**61 + 1}]}
+                    )),
+                    ["network.layers[0].kernel", "must be <= 6", "6x6 input"],
+                ),
+                id="kernel-past-the-input-extent",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", network={"layers": [{"filters": 2**63, "kernel": 3}]}
+                    )),
+                    ["network.layers[0].filters", f"must be <= {cfgmod.MAX_FILTERS}"],
+                ),
+                id="filters-past-the-cap",
             ),
             pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
             pytest.param(bool_shape_checkpoint_search, id="checkpoint-bool-shape"),

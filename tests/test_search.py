@@ -797,6 +797,21 @@ class TestTraining:
         train_subnetwork(sub, train, 1, np.random.default_rng(5), one_batch)
         assert calls == one_step
 
+    def test_each_epoch_steps_at_its_decayed_rate(self, monkeypatch):
+        rates = []
+        sgd_step = T.sgd_step
+
+        def spy(params, lr, weight_decay=0.0):
+            rates.append(lr)
+            sgd_step(params, lr, weight_decay)
+
+        monkeypatch.setattr(T, "sgd_step", spy)
+        net = SuperNetwork(small_specs(), (6, 6), 3, rng=np.random.default_rng(17))
+        train, _, _ = self.separable_data(seed=14)
+        config = TrainingConfig(epochs=3, batch_size=len(train), learning_rate=0.1, lr_decay=0.5)
+        train_supernetwork(net, train, config, np.random.default_rng(4))
+        assert rates == [0.1, 0.1 * 0.5, 0.1 * 0.25]
+
     @pytest.mark.parametrize("size", range(1, 10))
     def test_kernel_draw_is_the_rng_choice_stream(self, size):
         # train_supernetwork draws each layer's kernel as grid[rng.integers(len(grid))];

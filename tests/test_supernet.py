@@ -708,8 +708,40 @@ def plain_training_step(net, x, widths, kernels, labels):
     return outs, logits, grads
 
 
+class TestFlatParameters:
+    def test_one_flat_step_equals_a_step_per_parameter(self):
+        net = toy_net(seed=8)
+        x = np.random.default_rng(9).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        widths = np.array([[6, 5, 4], [3, 6, 0], [0, 2, 4], [6, 6, 1]])
+        net.zero_grad()
+        logits = net.forward_train(x, widths, [3, 5, 3])
+        net.backward(T.softmax_cross_entropy(logits, np.array([0, 1, 2, 1]))[1])
+        alone = []
+        for p in net.parameters():
+            q = T.Parameter(p.value.copy(), p.name)
+            q.grad[...] = p.grad
+            alone.append(q)
+        assert all(q.grad.any() for q in alone)
+        T.sgd_step(alone, 0.05, weight_decay=1e-3)
+        T.sgd_step([net.flat], 0.05, weight_decay=1e-3)
+        for p, q in zip(net.parameters(), alone):
+            np.testing.assert_array_equal(p.value, q.value, err_msg=p.name)
+
+    def test_load_writes_into_the_views(self, tmp_path):
+        net, other = toy_net(seed=1), toy_net(seed=2)
+        other.save(tmp_path / "c.json")
+        net.forward_train(np.zeros((1, 3, 6, 6), np.float32), np.array([[6, 6, 4]]), [3, 5, 3])
+        net._cache = None
+        layer = net._train_layers[(3, 5, 3)][1]
+        net.flat.grad += 1.0
+        net.load(tmp_path / "c.json")
+        np.testing.assert_array_equal(net.flat.value, other.flat.value)
+        assert not net.flat.grad.any()
+        np.testing.assert_array_equal(layer.w, other.weights[1].value)  # k = K = 5: every tap
+
+
 class TestTrainingLayerIsExact:
-    """The training layer's bool mask and fused gate change no bit of the plain formulas."""
+    """The training layer's float mask and masked-output gate change no bit of the plain formulas."""
 
     @pytest.mark.parametrize("kernels", [(3, 3, 3), (5, 3, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -740,6 +772,20 @@ class TestTrainingLayerIsExact:
         # the case covers what it claims: bypassed negatives and both extreme widths
         assert np.any(outs[0][widths[:, 0] == 0] < 0)
         assert {0, 10} <= set(widths[:, 2]) and {1, 8} <= set(widths[:, 1])
+
+    def test_gate_is_keep_and_y_positive_at_inf_and_nan(self):
+        spec = LayerSpec(index=0, c=3, t=4, k_max=3)
+        weight = np.ones((4, 3, 3, 3), np.float32)
+        weight[1] *= -1
+        layer = Layer(spec, 4, 3, 3, T.Parameter(weight), T.Parameter(np.zeros(4, np.float32)))
+        x = np.zeros((3, 3, 4, 4), np.float32)
+        x[0, 0, 1, 1], x[1, 1, 2, 2], x[2, 2, 0, 3] = np.inf, np.nan, 1.0
+        mask = ordered_dropout_mask([2, 4, 0], 4)[:, :, None, None]
+        y = sliced_layer(spec, x, 4, weight, layer.bias.value)[1]
+        assert np.isinf(y[0, 2:]).any() and np.isnan(y[1]).any()  # inf under a dropped channel
+        with np.errstate(invalid="ignore"):  # inf * 0
+            gate = _layer_forward(layer, x, True, mask.astype(np.float32))[1]["gate"]
+        np.testing.assert_array_equal(gate, mask & (y > 0))
 
 
 class TestSubNetworkTraining:

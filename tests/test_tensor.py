@@ -351,6 +351,54 @@ class TestSgd:
         p.zero_grad()
         np.testing.assert_array_equal(p.grad, [0.0, 0.0, 0.0])
 
+    def test_weight_decay_step_is_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(257).astype(np.float32)
+        g = rng.standard_normal(257).astype(np.float32)
+        lr, wd = 0.07, 3e-2
+        p = T.Parameter(v.copy())
+        p.grad[...] = g
+        T.sgd_step([p], lr, weight_decay=wd)
+        want = v - lr * (g + wd * v)
+        assert want.dtype == np.float32 and not np.array_equal(want, v - lr * g)
+        np.testing.assert_array_equal(p.value, want)
+
+
+class TestFlatten:
+    def params(self):
+        rng = np.random.default_rng(3)
+        return [T.Parameter(rng.standard_normal(s).astype(np.float32), n)
+                for s, n in (((2, 3), "a"), ((4,), "b"), ((1, 2, 2), "c"))]
+
+    def test_parameters_become_views_of_the_flat_vectors(self):
+        ps = self.params()
+        values = [p.value.copy() for p in ps]
+        ps[1].grad += 2.0
+        flat = T.flatten(ps)
+        np.testing.assert_array_equal(flat.value, np.concatenate([v.ravel() for v in values]))
+        np.testing.assert_array_equal(flat.grad, [0] * 6 + [2] * 4 + [0] * 4)
+        for p, v in zip(ps, values):
+            np.testing.assert_array_equal(p.value, v)
+            assert np.shares_memory(p.value, flat.value) and np.shares_memory(p.grad, flat.grad)
+        flat.grad += 1.0
+        np.testing.assert_array_equal(ps[1].grad, [3.0] * 4)
+        flat.zero_grad()
+        assert all(not p.grad.any() for p in ps)
+
+    def test_assigning_a_value_writes_through_to_the_flat_vector(self):
+        ps = self.params()
+        flat = T.flatten(ps)
+        ps[2].value = np.full((1, 2, 2), 5.0)
+        np.testing.assert_array_equal(flat.value[10:], [5.0] * 4)
+        assert ps[2].value.dtype == np.float32
+        with pytest.raises(ShapeError, match=r"Parameter\(c, shape=\(1, 2, 2\)\) value"):
+            ps[2].value = np.zeros(4)
+
+    def test_one_dtype(self):
+        ps = self.params() + [T.Parameter(np.zeros(2), "d")]
+        with pytest.raises(ShapeError, match="one dtype"):
+            T.flatten(ps)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
