@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError, read_json
 from .data import raster_header
-from .supernet import LayerSpec
+from .supernet import LayerSpec, strided_extent
 
 CONFIG_FORMAT = "netshrink-config-v1"
 
@@ -249,7 +249,7 @@ def _parse_layers(raw_net: dict, channels: int, input_hw: tuple[int, int]) -> tu
             )
         except Exception as e:
             raise ConfigError(f"{name}: {str(e) or type(e).__name__}") from e
-        c_in, h, w = filters, -(-h // stride), -(-w // stride)
+        c_in, (h, w) = filters, strided_extent((h, w), stride)
     return tuple(specs)
 
 

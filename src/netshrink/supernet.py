@@ -254,14 +254,17 @@ def channel_flow(specs: Sequence[LayerSpec], choice: SubNetChoice) -> list[int]:
     return flow
 
 
+def strided_extent(hw: tuple[int, int], stride: int) -> tuple[int, int]:
+    """Spatial extent a layer of `stride` emits for an `hw` input (same padding)."""
+    h, w = hw
+    return -(-h // stride), -(-w // stride)
+
+
 def spatial_flow(specs: Sequence[LayerSpec], input_hw: tuple[int, int]) -> list[tuple[int, int]]:
     """Spatial extents entering each layer, plus the final output extent."""
-    h, w = input_hw
-    sizes = [(h, w)]
+    sizes = [tuple(input_hw)]
     for spec in specs:
-        h = -(-h // spec.stride)
-        w = -(-w // spec.stride)
-        sizes.append((h, w))
+        sizes.append(strided_extent(sizes[-1], spec.stride))
     return sizes
 
 
@@ -561,10 +564,11 @@ class SuperNetwork(_Network):
         self.head_b = T.Parameter(np.zeros(classes, dtype=dtype), "head.bias")
         self.flat = T.flatten(self.parameters())
         self._cache: dict | None = None
-        # what a training step needs that depends only on shapes: the full-width
-        # layers of each kernel tuple, built on first use, and each layer's float
-        # ordered-dropout masks, row w keeping the first w of T channels
-        self._train_layers: dict[tuple[int, ...], list[Layer]] = {}
+        # what a training step needs that depends only on shapes: each layer's
+        # full-width Layer per kernel, built on first use (at full width layer i
+        # receives its C channels whatever the other layers' kernels are), and
+        # each layer's float ordered-dropout masks, row w keeping the first w of T
+        self._train_layer: list[dict[int, Layer]] = [{} for _ in specs]
         self._keep_rows = [ordered_dropout_mask(np.arange(s.t + 1), s.t).astype(dtype) for s in specs]
         self._t = np.array([s.t for s in self.specs])
 
@@ -595,11 +599,14 @@ class SuperNetwork(_Network):
             raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
         if widths.dtype.kind not in "iu" or (widths < 0).any() or (widths > self._t).any():
             raise GridError(f"widths must be integers in [0, T={self._t.tolist()}] per layer, got {widths}")
-        key = tuple(kernels)
-        layers = self._train_layers.get(key)
-        if layers is None:
-            full = SubNetChoice(tuple((s.t, k) for s, k in zip(self.specs, kernels)))
-            layers = self._train_layers[key] = _layers(self.specs, full, self.weights, self.biases)
+        layers = []
+        for i, (spec, k) in enumerate(zip(self.specs, kernels)):
+            layer = self._train_layer[i].get(k)
+            if layer is None:
+                one = SubNetChoice(((spec.t, k),))
+                layer = _layers([spec], one, [self.weights[i]], [self.biases[i]])[0]
+                self._train_layer[i][k] = layer
+            layers.append(layer)
         keeps = [rows[w][:, :, None, None] for rows, w in zip(self._keep_rows, widths.T)]
         return self._forward(layers, x, True, keeps=keeps)
 

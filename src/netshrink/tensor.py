@@ -67,7 +67,7 @@ def _write(dst: np.ndarray, new: np.ndarray, what: str) -> None:
     dst[...] = new
 
 
-def flatten(params: list[Parameter], name: str = "flat") -> Parameter:
+def flatten(params: list[Parameter]) -> Parameter:
     """One Parameter over all of `params`, which must share a dtype.
 
     Its value and grad are the concatenation of theirs, and each of `params`
@@ -79,7 +79,7 @@ def flatten(params: list[Parameter], name: str = "flat") -> Parameter:
     dtype = params[0].value.dtype
     if any(p.value.dtype != dtype for p in params):
         raise ShapeError(f"flatten needs one dtype, got {sorted({str(p.value.dtype) for p in params})}")
-    flat = Parameter(np.concatenate([p.value.ravel() for p in params]), name)
+    flat = Parameter(np.concatenate([p.value.ravel() for p in params]), "flat")
     flat.grad = np.concatenate([p.grad.ravel() for p in params])
     lo = 0
     for p in params:

@@ -732,12 +732,22 @@ class TestFlatParameters:
         other.save(tmp_path / "c.json")
         net.forward_train(np.zeros((1, 3, 6, 6), np.float32), np.array([[6, 6, 4]]), [3, 5, 3])
         net._cache = None
-        layer = net._train_layers[(3, 5, 3)][1]
+        layer = net._train_layer[1][5]
         net.flat.grad += 1.0
         net.load(tmp_path / "c.json")
         np.testing.assert_array_equal(net.flat.value, other.flat.value)
         assert not net.flat.grad.any()
         np.testing.assert_array_equal(layer.w, other.weights[1].value)  # k = K = 5: every tap
+
+
+    def test_training_layers_are_kept_per_layer_and_kernel(self):
+        net = toy_net()
+        x = np.zeros((1, 3, 6, 6), np.float32)
+        for kernels in [(3, 5, 3), (3, 3, 3), (3, 5, 3), (3, 3, 3)]:
+            net.forward_train(x, np.array([[6, 6, 4]]), kernels)
+            net._cache = None
+        assert [sorted(d) for d in net._train_layer] == [[3], [3, 5], [3]]
+        assert [layer.z_in for layer in net._train_layer[1].values()] == [6, 6]
 
 
 class TestTrainingLayerIsExact:
