@@ -113,21 +113,40 @@ def _parse(cls, raw: dict):
     return cls(**raw)
 
 
+# a desk-scale cap on a layer's filters: a 1024 x 1024 layer of 3 x 3 kernels
+# holds 36 MiB of float32 weights, and as many again of gradients
+MAX_FILTERS = 1024
+
+# a desk-scale cap on a synthetic dataset's float32 pixels: CIFAR-10's 60,000 3x32x32
+# images (737 MB) fit, and building a set at the cap peaks near four times its bytes
+MAX_DATASET_BYTES = 2**30
+
+
 @dataclass(frozen=True)
 class DatasetConfig(_Section):
     _name = "dataset"
     kind: str = _key(choices=("synthetic", "raster"), required=True)
-    classes: int = _key(0, lo=2, required=True, kinds=("synthetic",))
-    per_class: int = _key(0, lo=2, required=True, kinds=("synthetic",))
-    height: int = _key(0, lo=1, required=True, kinds=("synthetic",))
-    width: int = _key(0, lo=1, required=True, kinds=("synthetic",))
-    channels: int = _key(3, lo=1, kinds=("synthetic",))
+    classes: int = _key(0, lo=2, hi=65536, required=True, kinds=("synthetic",))  # a raster label is a u16
+    per_class: int = _key(0, lo=2, hi=10**7, required=True, kinds=("synthetic",))
+    height: int = _key(0, lo=1, hi=4096, required=True, kinds=("synthetic",))
+    width: int = _key(0, lo=1, hi=4096, required=True, kinds=("synthetic",))
+    channels: int = _key(3, lo=1, hi=MAX_FILTERS, kinds=("synthetic",))  # layer 0's C
     # a float32 standard-normal draw lies within +-8.3, so every noisy pixel
     # stays below 1e31, far inside float32's 3.4e38
     noise: float = _key(0.25, lo=0.0, hi=1e30, kinds=("synthetic",))
     path: str = _key("", required=True, kinds=("raster",))
     holdout_fraction: float = _key(0.1, lo=1e-9, hi=0.5)
     test_fraction: float = _key(0.15, lo=1e-9, hi=0.5)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "synthetic":
+            size = 4 * self.classes * self.per_class * self.channels * self.height * self.width
+            if size > MAX_DATASET_BYTES:
+                raise ConfigError(
+                    f"dataset: classes * per_class * channels * height * width = {size // 4} "
+                    f"float32 pixels take {size} bytes, past the cap of {MAX_DATASET_BYTES}"
+                )
 
 
 @dataclass(frozen=True)
@@ -138,6 +157,19 @@ class TrainingConfig(_Section):
     learning_rate: float = _key(0.05, lo=1e-9)
     weight_decay: float = _key(1e-4, lo=0.0)
     lr_decay: float = _key(1.0, lo=1e-9, hi=1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        lr = self.learning_rate  # the last epoch's rate, by the product train_supernetwork takes
+        for _ in range(self.epochs - 1):
+            if lr * self.lr_decay == lr:  # no later epoch's rate differs
+                break
+            lr *= self.lr_decay
+        if lr == 0.0:
+            raise ConfigError(
+                f"training.lr_decay: {self.lr_decay} takes training.learning_rate "
+                f"{self.learning_rate} to 0.0 within {self.epochs} epochs"
+            )
 
 
 @dataclass(frozen=True)
@@ -201,11 +233,6 @@ class ExperimentConfig:
     cost: CostConfig
     discovered: DiscoveredConfig
     raw: dict = field(repr=False, default_factory=dict)
-
-
-# a desk-scale cap on a layer's filters: a 1024 x 1024 layer of 3 x 3 kernels
-# holds 36 MiB of float32 weights, and as many again of gradients
-MAX_FILTERS = 1024
 
 
 def _parse_layers(raw_net: dict, channels: int, input_hw: tuple[int, int]) -> tuple[LayerSpec, ...]:

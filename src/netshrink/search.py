@@ -41,6 +41,9 @@ SEARCH_LOG_FORMAT = "netshrink-search-log-v2"
 
 _MAX_ITERATIONS = 100_000
 
+# rejection-sampling proposals per MCD sample before it escalates
+_MAX_ATTEMPTS = 200
+
 # full-width holdout evaluations per super-network training run, at evenly
 # spaced epochs from the first to the last; only the last value is read
 # downstream.  Scoring epoch 0 also spares the training steps' heap: on
@@ -50,8 +53,9 @@ _MAX_ITERATIONS = 100_000
 HOLDOUT_POINTS = 4
 
 
-def _tol(x: float) -> float:
-    return 1e-9 * max(1.0, abs(x))
+def _meets(resource: float, bound: float) -> bool:
+    """Whether `resource` meets `bound`, within a relative tolerance of 1e-9."""
+    return resource <= bound + 1e-9 * max(1.0, abs(bound))
 
 
 @dataclass(frozen=True)
@@ -99,20 +103,18 @@ def iteration_budget(
 # ---------------------------------------------------------------------------
 
 def shrink_options(spec: LayerSpec, m: int, k: int) -> list[tuple[int, int]]:
-    """All strict single-layer shrinks of (m, k): smaller M, smaller k, or both."""
+    """All strict single-layer shrinks of (m, k): smaller M, smaller k, or both.
+
+    Removal (M = 0) takes the grid's smallest kernel.
+    """
     if m == 0:
         return []
-    options: list[tuple[int, int]] = []
-    for m2 in spec.width_grid:
-        if m2 > m:
-            continue
-        if m2 == 0:
-            options.append((0, spec.kernel_grid[0]))
-            continue
-        for k2 in spec.kernel_grid:
-            if k2 <= k and (m2, k2) != (m, k):
-                options.append((m2, k2))
-    return options
+    return [
+        (m2, k2)
+        for m2 in spec.width_grid if m2 <= m
+        for k2 in (spec.kernel_grid[:1] if m2 == 0 else spec.kernel_grid)
+        if k2 <= k and (m2, k2) != (m, k)
+    ]
 
 
 def min_resource_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
@@ -125,26 +127,15 @@ def layer_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice,
     return total_resource(choice, model) - total_resource(floor, model)
 
 
-def scd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice) -> float:
-    """Best per-iteration cut a single-layer step can achieve from `choice`.
-
-    An analysis of the SCD optimizer's capacity, for the tests and demos:
-    `run_search` does not call it.  The search's feasibility checks are the
-    geometric schedule's total against the target and the minimum-resource
-    choice; within an iteration, `generate_scd_samples` returning no sample
-    is what stops an SCD search.
-    """
-    return max(layer_max_reduction(specs, model, choice, i) for i in range(len(specs)))
-
-
 def mcd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice, l_layers: int) -> float:
     """Best per-iteration cut an L-layer step can achieve (sum of the L largest).
 
-    An analysis of the MCD optimizer's capacity, for the tests and demos:
+    An analysis of the optimizers' capacity, for the tests and demos:
     `run_search` does not call it.  The search's feasibility checks are the
     geometric schedule's total against the target and the minimum-resource
     choice; within an iteration, `generate_mcd_sample` raises
-    FeasibilityError when even its escalation cannot meet the cut.
+    FeasibilityError when even its escalation cannot meet the budget, and
+    `generate_scd_samples` returning no sample stops an SCD search.
     """
     cuts = sorted(
         (layer_max_reduction(specs, model, choice, i) for i in range(len(specs))), reverse=True
@@ -152,49 +143,46 @@ def mcd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice, l
     return float(sum(cuts[: l_layers]))
 
 
+def scd_max_reduction(specs: Sequence[LayerSpec], model, choice: SubNetChoice) -> float:
+    """Best per-iteration cut a single-layer step can achieve: `mcd_max_reduction` at L = 1."""
+    return mcd_max_reduction(specs, model, choice, 1)
+
+
 def generate_mcd_sample(
     specs: Sequence[LayerSpec],
     model,
     best_prev: SubNetChoice,
     l_layers: int,
-    required_reduction: float,
+    budget: float,
     rng: np.random.Generator,
-    max_attempts: int = 200,
 ) -> SubNetChoice:
-    """One candidate: L randomly chosen layers, each randomly shrunk, meeting the cut.
+    """One candidate: L randomly chosen layers, each randomly shrunk, meeting `budget`.
 
-    Rejection-samples up to `max_attempts` proposals; afterwards escalates by
+    Rejection-samples up to `_MAX_ATTEMPTS` proposals; afterwards escalates by
     forcing minimum grid values one layer at a time (largest cut first).
     """
-    budget = total_resource(best_prev, model) - required_reduction
     options = [shrink_options(spec, *pair) for spec, pair in zip(specs, best_prev.pairs)]
     shrinkable = [i for i, layer_options in enumerate(options) if layer_options]
     if not shrinkable:
         raise FeasibilityError("no layer can shrink any further", attempts=0)
     l_eff = min(l_layers, len(shrinkable))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         picked = rng.choice(len(shrinkable), size=l_eff, replace=False)
         candidate = best_prev
         for si in sorted(picked):
             i = shrinkable[si]
             candidate = candidate.replace(i, *options[i][rng.integers(len(options[i]))])
-        if total_resource(candidate, model) <= budget + _tol(budget):
+        if _meets(total_resource(candidate, model), budget):
             return candidate
-    by_cut = sorted(
-        shrinkable, key=lambda i: (-layer_max_reduction(specs, model, best_prev, i), i)
-    )
+    by_cut = sorted(shrinkable, key=lambda i: (-layer_max_reduction(specs, model, best_prev, i), i))
     floor = min_resource_choice(specs)
     candidate = best_prev
-    forced = 0
     for i in by_cut[:l_eff]:
         candidate = candidate.replace(i, *floor.pairs[i])
-        forced += 1
-        if total_resource(candidate, model) <= budget + _tol(budget):
+        if _meets(total_resource(candidate, model), budget):
             return candidate
     raise FeasibilityError(
-        f"no {l_eff}-layer shrink reaches the required reduction "
-        f"{required_reduction:.6g}",
-        attempts=max_attempts + forced,
+        f"no {l_eff}-layer shrink meets the budget {budget:.6g}", attempts=_MAX_ATTEMPTS + l_eff
     )
 
 
@@ -202,25 +190,18 @@ def generate_scd_samples(
     specs: Sequence[LayerSpec],
     model,
     best_prev: SubNetChoice,
-    required_reduction: float,
+    budget: float,
 ) -> list[SubNetChoice]:
-    """One candidate per layer, shrinking only that layer just enough to meet the cut.
+    """One candidate per layer, shrinking only that layer just enough to meet `budget`.
 
-    Layers whose full removal still misses the cut yield no candidate.
+    Layers whose full removal still misses the budget yield no candidate.
     """
-    budget = total_resource(best_prev, model) - required_reduction
     samples = []
     for i, spec in enumerate(specs):
-        best_option = None
-        for option in shrink_options(spec, *best_prev.pairs[i]):
-            candidate = best_prev.replace(i, *option)
-            r = total_resource(candidate, model)
-            if r <= budget + _tol(budget):
-                key = (r, option[0], option[1])  # least shrink, prefer keeping filters
-                if best_option is None or key > best_option[0]:
-                    best_option = (key, candidate)
-        if best_option is not None:
-            samples.append(best_option[1])
+        candidates = [best_prev.replace(i, *option) for option in shrink_options(spec, *best_prev.pairs[i])]
+        feasible = [(r, c.pairs[i], c) for c in candidates if _meets(r := total_resource(c, model), budget)]
+        if feasible:  # the least shrink, then the one that keeps more filters
+            samples.append(max(feasible, key=lambda f: f[:2])[2])
     return samples
 
 
@@ -328,7 +309,7 @@ def run_search(
     initial_resource = total_resource(full, model)
     target = config.target(initial_resource)
     min_resource = total_resource(min_resource_choice(specs), model)
-    if min_resource > target + _tol(target):
+    if not _meets(min_resource, target):
         raise InfeasibleTargetError(
             f"target {target:.6g} is below the minimum achievable resource {min_resource:.6g}"
         )
@@ -350,25 +331,23 @@ def run_search(
     trajectory = [best]
     log_rows: list[SampleRecord] = []
     iteration = 0
-    while best.resource > target + _tol(target):
+    while not _meets(best.resource, target):
         if iteration >= _MAX_ITERATIONS:
             raise FeasibilityError(f"no convergence after {iteration} iterations")
         if prefix.choice != best.choice:
             prefix = prefix.moved_to(supernet, best.choice)
-        budget = iteration_budget(
-            best.resource, initial_resource, config, iteration, min_resource
-        )
-        required = best.resource - budget
+        budget = iteration_budget(best.resource, initial_resource, config, iteration, min_resource)
         if config.optimizer == "mcd":
             choices = [
-                generate_mcd_sample(specs, model, best.choice, config.layers_per_sample, required, rng)
+                generate_mcd_sample(specs, model, best.choice, config.layers_per_sample, budget, rng)
                 for _ in range(config.samples_per_iteration)
             ]
         else:
-            choices = generate_scd_samples(specs, model, best.choice, required)
+            choices = generate_scd_samples(specs, model, best.choice, budget)
             if not choices:
                 raise FeasibilityError(
-                    f"iteration {iteration}: no single layer can cut {required:.6g} alone"
+                    f"iteration {iteration}: no single layer can cut "
+                    f"{best.resource - budget:.6g} alone"
                 )
 
         keys = [choice.key() for choice in choices]
@@ -461,12 +440,6 @@ def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[Su
 # training
 # ---------------------------------------------------------------------------
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Generator,
                config: TrainingConfig, lr: float,
                forward: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -475,8 +448,9 @@ def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Ge
     ``forward(x)`` returns the batch's logits and records the pass that
     ``net.backward`` differentiates.
     """
-    losses = []
-    for idx in _batches(len(train), config.batch_size, rng):
+    losses, order = [], rng.permutation(len(train))
+    for lo in range(0, len(train), config.batch_size):
+        idx = order[lo : lo + config.batch_size]
         net.zero_grad()
         loss, dlogits = T.softmax_cross_entropy(forward(train.images[idx]), train.labels[idx])
         net.backward(dlogits)

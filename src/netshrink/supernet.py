@@ -565,10 +565,13 @@ class SuperNetwork(_Network):
         self.flat = T.flatten(self.parameters())
         self._cache: dict | None = None
         # what a training step needs that depends only on shapes: each layer's
-        # full-width Layer per kernel, built on first use (at full width layer i
-        # receives its C channels whatever the other layers' kernels are), and
-        # each layer's float ordered-dropout masks, row w keeping the first w of T
-        self._train_layer: list[dict[int, Layer]] = [{} for _ in specs]
+        # full-width Layer per grid kernel (at full width layer i receives its C
+        # channels whatever the other layers' kernels are), and each layer's
+        # float ordered-dropout masks, row w keeping the first w of T
+        self._train_layer: list[dict[int, Layer]] = [
+            {k: _layers([s], SubNetChoice(((s.t, k),)), [w], [b])[0] for k in s.kernel_grid}
+            for s, w, b in zip(specs, self.weights, self.biases)
+        ]
         self._keep_rows = [ordered_dropout_mask(np.arange(s.t + 1), s.t).astype(dtype) for s in specs]
         self._t = np.array([s.t for s in self.specs])
 
@@ -599,14 +602,9 @@ class SuperNetwork(_Network):
             raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
         if widths.dtype.kind not in "iu" or (widths < 0).any() or (widths > self._t).any():
             raise GridError(f"widths must be integers in [0, T={self._t.tolist()}] per layer, got {widths}")
-        layers = []
-        for i, (spec, k) in enumerate(zip(self.specs, kernels)):
-            layer = self._train_layer[i].get(k)
-            if layer is None:
-                one = SubNetChoice(((spec.t, k),))
-                layer = _layers([spec], one, [self.weights[i]], [self.biases[i]])[0]
-                self._train_layer[i][k] = layer
-            layers.append(layer)
+        for spec, k in zip(self.specs, kernels):
+            spec.validate_choice(spec.t, k)
+        layers = [by_kernel[k] for by_kernel, k in zip(self._train_layer, kernels)]
         keeps = [rows[w][:, :, None, None] for rows, w in zip(self._keep_rows, widths.T)]
         return self._forward(layers, x, True, keeps=keeps)
 
@@ -747,19 +745,18 @@ class SubNetwork(_Network):
 def _copied(specs, choice, weights, biases, head_w, head_b, rng=None) -> SubNetwork:
     """`_layers(specs, choice, weights, biases)` and the head, with Parameters of their own.
 
-    Each layer with M > 0 copies its `prefix_slice`, and the head the first z
-    columns of `head_w` for the final z channels.  With a Generator the
-    weights are instead a fresh He init of those shapes, drawn layers first
-    and then the head, and the biases are zero.  The copies are flattened
-    into one vector before the layers take their views.
+    Each layer with M > 0 copies its `prefix_slice` (`Layer.w` and `Layer.b`),
+    and the head the first z columns of `head_w` for the final z channels.
+    With a Generator the weights are instead a fresh He init of those shapes,
+    drawn layers first and then the head, and the biases are zero.  The copies
+    are flattened into one vector before the layers take their views.
     """
     def own(w: np.ndarray, b: np.ndarray, name: str) -> tuple[T.Parameter, T.Parameter]:
         w, b = (w.copy(), b.copy()) if rng is None else (_he(rng, w.shape, w.dtype), np.zeros_like(b))
         return T.Parameter(w, f"{name}.weight"), T.Parameter(b, f"{name}.bias")
 
     owned = [
-        own(prefix_slice(l.weight.value, l.m, l.z_in, l.k), l.bias.value[: l.m], f"layer{l.spec.index}")
-        if l.m > 0 else (None, None)
+        own(l.w, l.b, f"layer{l.spec.index}") if l.m > 0 else (None, None)
         for l in _layers(specs, choice, weights, biases)
     ]
     z = channel_flow(specs, choice)[-1]

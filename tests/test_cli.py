@@ -153,6 +153,8 @@ class TestConfigValidation:
             pytest.param("training", cfgmod.TrainingConfig, {"learning_rate": math.nan},
                          id="nan-learning-rate"),
             pytest.param("training", cfgmod.TrainingConfig, {"lr_decay": 0}, id="lr-decay"),
+            pytest.param("training", cfgmod.TrainingConfig, {"epochs": 40, "lr_decay": 1e-9},
+                         id="lr-decays-to-zero"),
             pytest.param("training", cfgmod.TrainingConfig, {"weight_decay": -1},
                          id="weight-decay"),
             pytest.param("training", cfgmod.TrainingConfig, {"epochs": 1.5},
@@ -165,6 +167,9 @@ class TestConfigValidation:
             pytest.param("dataset", cfgmod.DatasetConfig,
                          {"kind": "synthetic", "classes": 1, "per_class": 30, "height": 6,
                           "width": 6}, id="one-class"),
+            pytest.param("dataset", cfgmod.DatasetConfig,
+                         {"kind": "synthetic", "classes": 4096, "per_class": 4096, "height": 8,
+                          "width": 8}, id="dataset-past-the-byte-cap"),
         ],
     )
     def test_search_config_and_file_share_one_bound(self, tmp_path, name, cls, section):
@@ -186,6 +191,31 @@ class TestConfigValidation:
             load_config(path)
         images = cli._load_dataset(load_config(write_config(path, dataset={"noise": 1e30}))).images
         assert images.dtype == np.float32 and np.isfinite(images).all()
+
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            ({"classes": 1e308}, r"^dataset\.classes: must be <= 65536, got 1e\+308$"),
+            ({"height": 1e308}, r"^dataset\.height: must be <= 4096, got 1e\+308$"),
+            ({"width": 4097}, r"^dataset\.width: must be <= 4096, got 4097$"),
+            ({"channels": 1e308}, r"^dataset\.channels: must be <= 1024, got 1e\+308$"),
+            ({"per_class": 10**12}, r"^dataset\.per_class: must be <= 10000000, got 1000000000000$"),
+            # 64 * 16385 images of 1x16x16 float32 pixels: one image past the cap
+            (
+                {"classes": 64, "per_class": 16385, "channels": 1, "height": 16, "width": 16},
+                r"^dataset: classes \* per_class \* channels \* height \* width = 268451840 "
+                r"float32 pixels take 1073807360 bytes, past the cap of 1073741824$",
+            ),
+        ],
+    )
+    def test_synthetic_dataset_is_sized_before_it_is_built(self, tmp_path, dataset, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path / "c.json", dataset=dataset))
+
+    def test_a_synthetic_dataset_at_the_byte_cap_loads(self, tmp_path):
+        at_cap = {"classes": 64, "per_class": 16384, "channels": 1, "height": 16, "width": 16}
+        d = load_config(write_config(tmp_path / "c.json", dataset=at_cap)).dataset
+        assert 4 * d.classes * d.per_class * d.channels * d.height * d.width == cfgmod.MAX_DATASET_BYTES
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_search_seed_is_checked(self, seed):
@@ -882,6 +912,15 @@ class TestBadInputFailsCleanly:
                     ["network.layers[0].filters", f"must be <= {cfgmod.MAX_FILTERS}"],
                 ),
                 id="filters-past-the-cap",
+            ),
+            pytest.param(
+                lambda tmp: (
+                    train_argv(tmp, write_config(
+                        tmp / "c.json", training={"epochs": 40, "lr_decay": 1e-9}
+                    )),
+                    ["training.lr_decay: 1e-09", "training.learning_rate", "to 0.0 within 40 epochs"],
+                ),
+                id="learning-rate-decays-to-zero",
             ),
             pytest.param(non_monotone_table_run, id="non-monotone-latency-table"),
             pytest.param(bool_shape_checkpoint_search, id="checkpoint-bool-shape"),

@@ -100,6 +100,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             reduction_schedule(1.0, make_config(1.0), -1)
 
+    def test_budget_is_the_scheduled_cut_from_the_previous_best_clamped_at_the_floor(self):
+        # r0 = 64, init_reduction 1/4, decay 1/2: the cut at iteration i is 16 / 2**i
+        cfg = make_config(1.0, init_reduction=0.25, decay=0.5)
+        assert iteration_budget(64.0, 64.0, cfg, 0, 1.0) == 48.0
+        assert iteration_budget(40.0, 64.0, cfg, 1, 1.0) == 32.0
+        assert iteration_budget(30.0, 64.0, cfg, 3, 1.0) == 28.0
+        assert iteration_budget(5.0, 64.0, cfg, 2, 1.0) == 1.0  # lands on the floor
+        assert iteration_budget(5.0, 64.0, cfg, 2, 3.0) == 3.0  # 5 - 4 is below the floor of 3
+
 
 class TestShrinkOptions:
     def test_every_option_strictly_shrinks(self):
@@ -129,7 +138,7 @@ class TestMcdSampling:
         r0 = total_resource(self.full, self.table)
         required = 0.05 * r0
         for _ in range(50):
-            sample = generate_mcd_sample(self.specs, self.table, self.full, 2, required, rng)
+            sample = generate_mcd_sample(self.specs, self.table, self.full, 2, r0 - required, rng)
             assert total_resource(sample, self.table) <= r0 - required + 1e-9
             changed = [
                 i for i, (a, b) in enumerate(zip(sample.pairs, self.full.pairs)) if a != b
@@ -143,8 +152,9 @@ class TestMcdSampling:
 
     def test_zero_required_reduction_still_requires_a_change(self):
         rng = np.random.default_rng(1)
+        r0 = total_resource(self.full, self.table)
         for _ in range(20):
-            sample = generate_mcd_sample(self.specs, self.table, self.full, 1, 0.0, rng)
+            sample = generate_mcd_sample(self.specs, self.table, self.full, 1, r0, rng)
             assert sample.pairs != self.full.pairs
 
     def test_single_layer_network_degenerates_to_single_layer_shrink(self):
@@ -152,18 +162,18 @@ class TestMcdSampling:
         table = synthetic_latency_table(specs, (6, 6), seed=2)
         full = full_width_choice(specs)
         rng = np.random.default_rng(2)
-        sample = generate_mcd_sample(specs, table, full, 1, 0.0, rng)
+        sample = generate_mcd_sample(specs, table, full, 1, total_resource(full, table), rng)
         assert sample.pairs[0][0] <= 8
 
-    def test_escalation_reaches_deep_cuts(self):
+    def test_escalation_reaches_deep_cuts(self, monkeypatch):
         # a cut close to the 3-layer capacity: rejection will often fail, the
         # forced-minimum fallback must still find the (existing) solution
+        monkeypatch.setattr(search, "_MAX_ATTEMPTS", 5)
         rng = np.random.default_rng(3)
         capacity = mcd_max_reduction(self.specs, self.table, self.full, 3)
-        sample = generate_mcd_sample(
-            self.specs, self.table, self.full, 3, 0.999 * capacity, rng, max_attempts=5
-        )
-        reduction = total_resource(self.full, self.table) - total_resource(sample, self.table)
+        r0 = total_resource(self.full, self.table)
+        sample = generate_mcd_sample(self.specs, self.table, self.full, 3, r0 - 0.999 * capacity, rng)
+        reduction = r0 - total_resource(sample, self.table)
         assert reduction >= 0.999 * capacity - 1e-9
 
     def test_draws_are_pinned_for_a_seed(self):
@@ -171,9 +181,9 @@ class TestMcdSampling:
         specs = six_layer_specs()
         table = synthetic_latency_table(specs, (8, 8), seed=20)
         best = full_width_choice(specs).replace(1, 4, 3).replace(4, 2, 3)
-        required = 0.1 * total_resource(best, table)
+        budget = total_resource(best, table) - 0.1 * total_resource(best, table)
         rng = np.random.default_rng(17)
-        got = [generate_mcd_sample(specs, table, best, 3, required, rng).pairs for _ in range(8)]
+        got = [generate_mcd_sample(specs, table, best, 3, budget, rng).pairs for _ in range(8)]
         assert got == [
             ((4, 5), (4, 3), (6, 3), (8, 3), (0, 3), (8, 3)),
             ((3, 5), (2, 3), (5, 3), (8, 3), (2, 3), (8, 3)),
@@ -186,14 +196,30 @@ class TestMcdSampling:
         ]
         assert rng.integers(1 << 30) == 838432399  # and took the same number of draws
 
-    def test_infeasible_reduction_raises_with_attempts(self):
+    def test_infeasible_reduction_raises_with_attempts(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_ATTEMPTS", 7)
         rng = np.random.default_rng(4)
         capacity = mcd_max_reduction(self.specs, self.table, self.full, 2)
-        with pytest.raises(FeasibilityError) as err:
-            generate_mcd_sample(
-                self.specs, self.table, self.full, 2, capacity * 1.5, rng, max_attempts=7
-            )
+        budget = total_resource(self.full, self.table) - capacity * 1.5
+        with pytest.raises(FeasibilityError, match=re.escape(f"meets the budget {budget:.6g}")) as err:
+            generate_mcd_sample(self.specs, self.table, self.full, 2, budget, rng)
         assert err.value.attempts >= 7
+
+    def test_an_infeasible_budget_escalates_after_200_proposals(self):
+        # each proposal draws its layers, then one option per picked layer; the
+        # rng stream behind every search artifact depends on the count
+        capacity = mcd_max_reduction(self.specs, self.table, self.full, 2)
+        budget = total_resource(self.full, self.table) - capacity * 1.5
+        rng = np.random.default_rng(4)
+        with pytest.raises(FeasibilityError) as err:
+            generate_mcd_sample(self.specs, self.table, self.full, 2, budget, rng)
+        assert err.value.attempts == 200 + 2  # and then two forced layers
+        options = [shrink_options(s, *pair) for s, pair in zip(self.specs, self.full.pairs)]
+        replay = np.random.default_rng(4)
+        for _ in range(200):
+            for i in sorted(replay.choice(3, size=2, replace=False)):
+                replay.integers(len(options[i]))
+        assert rng.random() == replay.random()
 
 
 class TestScdSampling:
@@ -203,7 +229,9 @@ class TestScdSampling:
         self.full = full_width_choice(self.specs)
 
     def test_each_sample_modifies_exactly_one_layer(self):
-        samples = generate_scd_samples(self.specs, self.table, self.full, 0.0)
+        samples = generate_scd_samples(
+            self.specs, self.table, self.full, total_resource(self.full, self.table)
+        )
         assert 1 <= len(samples) <= 3
         for s in samples:
             changed = [i for i, (a, b) in enumerate(zip(s.pairs, self.full.pairs)) if a != b]
@@ -211,24 +239,34 @@ class TestScdSampling:
 
     def test_reduction_beyond_single_layer_capacity_yields_empty_list(self):
         capacity = scd_max_reduction(self.specs, self.table, self.full)
-        samples = generate_scd_samples(self.specs, self.table, self.full, capacity * 1.01)
+        budget = total_resource(self.full, self.table) - capacity * 1.01
+        samples = generate_scd_samples(self.specs, self.table, self.full, budget)
         assert samples == []
 
     def test_full_layer_cut_turns_into_removal(self):
         # demand exactly layer 1's whole latency: only M=0 on layer 1 meets it
         r1 = layer_max_reduction(self.specs, self.table, self.full, 1)
-        samples = generate_scd_samples(self.specs, self.table, self.full, r1)
+        budget = total_resource(self.full, self.table) - r1
+        samples = generate_scd_samples(self.specs, self.table, self.full, budget)
         by_layer = {
             next(i for i, (a, b) in enumerate(zip(s.pairs, self.full.pairs)) if a != b): s
             for s in samples
         }
         assert by_layer[1].pairs[1][0] == 0
 
+    def test_a_resource_within_rounding_of_the_budget_meets_it(self):
+        # a bound worked out another way, such as R - (R - B), can land an ulp off B:
+        # a relative 1e-12 above the budget meets it, 1e-6 above does not
+        removed = total_resource(self.full.replace(1, 0, 3), self.table)
+        for budget, meets in ((removed * (1 - 1e-12), True), (removed * (1 - 1e-6), False)):
+            samples = generate_scd_samples(self.specs, self.table, self.full, budget)
+            assert any(s.pairs[1][0] == 0 for s in samples) == meets
+
     def test_least_shrink_is_chosen_grid_walk(self):
         # oracle: walk the grid and keep the feasible option with max resource
         required = 0.02 * total_resource(self.full, self.table)
         budget = total_resource(self.full, self.table) - required
-        samples = generate_scd_samples(self.specs, self.table, self.full, required)
+        samples = generate_scd_samples(self.specs, self.table, self.full, budget)
         for s in samples:
             i = next(j for j, (a, b) in enumerate(zip(s.pairs, self.full.pairs)) if a != b)
             r_got = total_resource(s, self.table)
@@ -269,13 +307,13 @@ class TestMcdScdCapacity:
         rng = np.random.default_rng(6)
         seen_layers = set()
         for _ in range(200):
-            s = generate_mcd_sample(specs, table, full, 1, required, rng)
+            s = generate_mcd_sample(specs, table, full, 1, budget, rng)
             assert s.key() in exhaustive
             seen_layers.add(
                 next(i for i, (a, b) in enumerate(zip(s.pairs, full.pairs)) if a != b)
             )
         assert seen_layers == {0, 1}
-        for s in generate_scd_samples(specs, table, full, required):
+        for s in generate_scd_samples(specs, table, full, budget):
             assert s.key() in exhaustive
 
 
@@ -615,6 +653,19 @@ class TestRunSearch:
         result = run_search(net, table, replace(cfg, optimizer="scd"), holdout)
         assert result.trajectory[-1].resource <= cfg.target_resource + 1e-9
 
+    def test_scd_rows_meet_the_budget_worked_out_by_hand(self):
+        net, table, holdout = self.build(seed=6)
+        r0 = total_resource(net.full_choice(), table)
+        cfg = replace(make_config(0.5 * r0, seed=23), optimizer="scd")
+        result = run_search(net, table, cfg, holdout)
+        floor = total_resource(min_resource_choice(net.specs), table)
+        resources = [rec.resource for rec in result.trajectory]
+        assert len(resources) > 3
+        for row in result.log_rows:
+            cut = r0 * cfg.init_reduction * cfg.decay**row.iteration
+            budget = max(resources[row.iteration] - cut, floor)
+            assert row.resource <= budget + 1e-9 * budget
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("optimizer", ["mcd", "scd"])
     def test_a_higher_target_stops_on_a_prefix_of_a_lower_ones_search(self, optimizer, jobs):
@@ -867,6 +918,30 @@ class TestReplay:
         assert final.choice.key() == choices[-1].key()
         x = train.images[:4]
         assert final.forward(x).shape == (4, 3)
+
+    def test_replay_is_the_hand_written_walk_bit_for_bit(self):
+        specs = small_specs()
+        train, _, _ = TestTraining().separable_data(seed=14)
+        net = SuperNetwork(specs, (6, 6), 3, rng=np.random.default_rng(17))
+        choices = [
+            net.full_choice(),
+            SubNetChoice(((5, 3), (6, 5), (6, 3))),
+            SubNetChoice(((5, 3), (4, 3), (3, 3))),
+        ]
+        training = TrainingConfig(batch_size=16)
+        discovered = DiscoveredConfig(epochs=2, replay_epochs_per_step=1)
+        replayed = trajectory_replay_finetune(
+            net, choices, train, np.random.default_rng(5), training, discovered
+        )
+        rng = np.random.default_rng(5)
+        walk = net.extract(choices[0])
+        for choice in choices[1:]:
+            walk = walk.shrink_to(choice)
+            train_subnetwork(walk, train, discovered.replay_epochs_per_step, rng, training)
+        train_subnetwork(walk, train, discovered.epochs, rng, training)
+        assert replayed.choice == walk.choice
+        for a, b in zip(replayed.parameters(), walk.parameters(), strict=True):
+            assert a.name == b.name and a.value.tobytes() == b.value.tobytes(), a.name
 
 
 class TestLogFormat:

@@ -463,6 +463,15 @@ class TestNetworkForward:
         with pytest.raises(ShapeError, match=message):
             net.forward_train(x, np.full(widths_shape, 4), kernels)
 
+    @pytest.mark.parametrize("kernel", [5, 1, 9])
+    def test_train_rejects_an_off_grid_kernel(self, kernel):
+        spec = LayerSpec(index=0, c=3, t=4, k_max=7, stride=1, kernel_grid=(3, 7))
+        net = SuperNetwork([spec], (8, 8), 3, rng=np.random.default_rng(0))
+        x = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        with pytest.raises(GridError, match=rf"layer 0: kernel {kernel} not in grid \(3, 7\)"):
+            net.forward_train(x, np.full((2, 1), 4), [kernel])
+        assert [sorted(d) for d in net._train_layer] == [[3, 7]]
+
     def test_extraction_matches_supernet_eval(self):
         net = SuperNetwork(self.mixed_specs(), (8, 8), 4, rng=np.random.default_rng(3))
         rng = np.random.default_rng(10)
