@@ -152,7 +152,9 @@ class DatasetConfig(_Section):
 @dataclass(frozen=True)
 class TrainingConfig(_Section):
     _name = "training"
-    epochs: int = _key(40, lo=1)
+    # a desk-scale cap, far past the few hundred epochs an ImageNet super-network
+    # trains for; it bounds the products `epoch_rates` takes when a config is built
+    epochs: int = _key(40, lo=1, hi=10_000)
     batch_size: int = _key(64, lo=1)
     learning_rate: float = _key(0.05, lo=1e-9)
     weight_decay: float = _key(1e-4, lo=0.0)
@@ -160,16 +162,18 @@ class TrainingConfig(_Section):
 
     def __post_init__(self):
         super().__post_init__()
-        lr = self.learning_rate  # the last epoch's rate, by the product train_supernetwork takes
-        for _ in range(self.epochs - 1):
-            if lr * self.lr_decay == lr:  # no later epoch's rate differs
-                break
-            lr *= self.lr_decay
-        if lr == 0.0:
+        if min(self.epoch_rates()) == 0.0:
             raise ConfigError(
                 f"training.lr_decay: {self.lr_decay} takes training.learning_rate "
                 f"{self.learning_rate} to 0.0 within {self.epochs} epochs"
             )
+
+    def epoch_rates(self):
+        """The learning rate of each epoch: `learning_rate`, times `lr_decay` once per epoch."""
+        lr = self.learning_rate
+        for _ in range(self.epochs):
+            yield lr
+            lr *= self.lr_decay
 
 
 @dataclass(frozen=True)

@@ -103,18 +103,20 @@ def iteration_budget(
 # ---------------------------------------------------------------------------
 
 def shrink_options(spec: LayerSpec, m: int, k: int) -> list[tuple[int, int]]:
-    """All strict single-layer shrinks of (m, k): smaller M, smaller k, or both.
-
-    Removal (M = 0) takes the grid's smallest kernel.
-    """
+    """All strict single-layer shrinks of (m, k): smaller M, smaller k, or both."""
     if m == 0:
         return []
-    return [
-        (m2, k2)
-        for m2 in spec.width_grid if m2 <= m
-        for k2 in (spec.kernel_grid[:1] if m2 == 0 else spec.kernel_grid)
-        if k2 <= k and (m2, k2) != (m, k)
-    ]
+    options: list[tuple[int, int]] = []
+    for m2 in spec.width_grid:
+        if m2 > m:
+            continue
+        if m2 == 0:
+            options.append((0, spec.kernel_grid[0]))
+            continue
+        for k2 in spec.kernel_grid:
+            if k2 <= k and (m2, k2) != (m, k):
+                options.append((m2, k2))
+    return options
 
 
 def min_resource_choice(specs: Sequence[LayerSpec]) -> SubNetChoice:
@@ -174,7 +176,9 @@ def generate_mcd_sample(
             candidate = candidate.replace(i, *options[i][rng.integers(len(options[i]))])
         if _meets(total_resource(candidate, model), budget):
             return candidate
-    by_cut = sorted(shrinkable, key=lambda i: (-layer_max_reduction(specs, model, best_prev, i), i))
+    by_cut = sorted(
+        shrinkable, key=lambda i: (-layer_max_reduction(specs, model, best_prev, i), i)
+    )
     floor = min_resource_choice(specs)
     candidate = best_prev
     for i in by_cut[:l_eff]:
@@ -182,7 +186,8 @@ def generate_mcd_sample(
         if _meets(total_resource(candidate, model), budget):
             return candidate
     raise FeasibilityError(
-        f"no {l_eff}-layer shrink meets the budget {budget:.6g}", attempts=_MAX_ATTEMPTS + l_eff
+        f"no {l_eff}-layer shrink meets the budget {budget:.6g}",
+        attempts=_MAX_ATTEMPTS + l_eff,
     )
 
 
@@ -198,10 +203,16 @@ def generate_scd_samples(
     """
     samples = []
     for i, spec in enumerate(specs):
-        candidates = [best_prev.replace(i, *option) for option in shrink_options(spec, *best_prev.pairs[i])]
-        feasible = [(r, c.pairs[i], c) for c in candidates if _meets(r := total_resource(c, model), budget)]
-        if feasible:  # the least shrink, then the one that keeps more filters
-            samples.append(max(feasible, key=lambda f: f[:2])[2])
+        best_option = None
+        for option in shrink_options(spec, *best_prev.pairs[i]):
+            candidate = best_prev.replace(i, *option)
+            r = total_resource(candidate, model)
+            if _meets(r, budget):
+                key = (r, option[0], option[1])  # least shrink, prefer keeping filters
+                if best_option is None or key > best_option[0]:
+                    best_option = (key, candidate)
+        if best_option is not None:
+            samples.append(best_option[1])
     return samples
 
 
@@ -336,7 +347,9 @@ def run_search(
             raise FeasibilityError(f"no convergence after {iteration} iterations")
         if prefix.choice != best.choice:
             prefix = prefix.moved_to(supernet, best.choice)
-        budget = iteration_budget(best.resource, initial_resource, config, iteration, min_resource)
+        budget = iteration_budget(
+            best.resource, initial_resource, config, iteration, min_resource
+        )
         if config.optimizer == "mcd":
             choices = [
                 generate_mcd_sample(specs, model, best.choice, config.layers_per_sample, budget, rng)
@@ -440,6 +453,12 @@ def load_trajectory_choices(path: str | Path, supernet: SuperNetwork) -> list[Su
 # training
 # ---------------------------------------------------------------------------
 
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    order = rng.permutation(n)
+    for lo in range(0, n, batch_size):
+        yield order[lo : lo + batch_size]
+
+
 def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Generator,
                config: TrainingConfig, lr: float,
                forward: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -448,9 +467,8 @@ def _sgd_epoch(net: SuperNetwork | SubNetwork, train: Dataset, rng: np.random.Ge
     ``forward(x)`` returns the batch's logits and records the pass that
     ``net.backward`` differentiates.
     """
-    losses, order = [], rng.permutation(len(train))
-    for lo in range(0, len(train), config.batch_size):
-        idx = order[lo : lo + config.batch_size]
+    losses = []
+    for idx in _batches(len(train), config.batch_size, rng):
         net.zero_grad()
         loss, dlogits = T.softmax_cross_entropy(forward(train.images[idx]), train.labels[idx])
         net.backward(dlogits)
@@ -488,15 +506,13 @@ def train_supernetwork(
         return supernet.forward_train(x, widths, kernels)
 
     history = []
-    lr = config.learning_rate
-    for epoch in range(config.epochs):
+    for epoch, lr in enumerate(config.epoch_rates()):
         row = {"epoch": epoch, "loss": _sgd_epoch(supernet, train, rng, config, lr, forward)}
         if holdout is not None and epoch in scored:
             row["holdout_accuracy"] = supernet.evaluate(
                 holdout.images, holdout.labels, supernet.full_choice()
             )
         history.append(row)
-        lr *= config.lr_decay
     return history
 
 

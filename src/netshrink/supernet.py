@@ -602,9 +602,12 @@ class SuperNetwork(_Network):
             raise ShapeError(f"kernels must be [layers={len(self.specs)}], got {len(kernels)} entries")
         if widths.dtype.kind not in "iu" or (widths < 0).any() or (widths > self._t).any():
             raise GridError(f"widths must be integers in [0, T={self._t.tolist()}] per layer, got {widths}")
-        for spec, k in zip(self.specs, kernels):
-            spec.validate_choice(spec.t, k)
-        layers = [by_kernel[k] for by_kernel, k in zip(self._train_layer, kernels)]
+        try:  # each layer's dict holds exactly its grid's kernels
+            layers = [by_kernel[k] for by_kernel, k in zip(self._train_layer, kernels)]
+        except KeyError:
+            for spec, k in zip(self.specs, kernels):
+                spec.validate_choice(spec.t, k)  # raises GridError naming the first off-grid kernel
+            raise
         keeps = [rows[w][:, :, None, None] for rows, w in zip(self._keep_rows, widths.T)]
         return self._forward(layers, x, True, keeps=keeps)
 

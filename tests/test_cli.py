@@ -155,6 +155,8 @@ class TestConfigValidation:
             pytest.param("training", cfgmod.TrainingConfig, {"lr_decay": 0}, id="lr-decay"),
             pytest.param("training", cfgmod.TrainingConfig, {"epochs": 40, "lr_decay": 1e-9},
                          id="lr-decays-to-zero"),
+            pytest.param("training", cfgmod.TrainingConfig, {"epochs": 10_001, "lr_decay": 0.9999999},
+                         id="epochs-past-the-cap"),
             pytest.param("training", cfgmod.TrainingConfig, {"weight_decay": -1},
                          id="weight-decay"),
             pytest.param("training", cfgmod.TrainingConfig, {"epochs": 1.5},

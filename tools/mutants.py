@@ -1,6 +1,6 @@
 """Run tier-1 against each hand-written mutant of `src/` and report which ones it kills.
 
-Usage: python tools/mutants.py [--tree PATH] [--only NAME ...]
+Usage: python tools/mutants.py [--tree PATH]
 
 Each entry of `MUTANTS` gives a file, an exact old text, the new text and
 what the mutant breaks.  The tool copies the tree (by default this
@@ -60,8 +60,8 @@ MUTANTS = (
     ),
     Mutant(
         "scd-takes-the-largest-shrink", "src/netshrink/search.py",
-        "samples.append(max(feasible, key=lambda f: f[:2])[2])",
-        "samples.append(min(feasible, key=lambda f: f[:2])[2])",
+        "if best_option is None or key > best_option[0]:",
+        "if best_option is None or key < best_option[0]:",
         "SCD proposes each layer's deepest feasible shrink",
     ),
     Mutant(
@@ -95,9 +95,9 @@ MUTANTS = (
         "sgd_step drops the weight-decay term",
     ),
     Mutant(
-        "lr-decays-twice-per-epoch", "src/netshrink/search.py",
-        "        lr *= config.lr_decay\n    return history",
-        "        lr *= config.lr_decay * config.lr_decay\n    return history",
+        "lr-decays-twice-per-epoch", "src/netshrink/config.py",
+        "lr *= self.lr_decay",
+        "lr *= self.lr_decay * self.lr_decay",
         "each super-network epoch decays the rate twice",
     ),
     Mutant(
@@ -126,8 +126,8 @@ MUTANTS = (
     ),
     Mutant(
         "lr-may-decay-to-zero", "src/netshrink/config.py",
-        "        if lr == 0.0:\n            raise ConfigError(",
-        "        if False:\n            raise ConfigError(",
+        "if min(self.epoch_rates()) == 0.0:",
+        "if False:",
         "a learning rate that decays to 0.0 reaches sgd_step",
     ),
     Mutant(
@@ -138,9 +138,185 @@ MUTANTS = (
     ),
     Mutant(
         "train-accepts-off-grid-kernel", "src/netshrink/supernet.py",
-        "spec.validate_choice(spec.t, k)",
-        "spec.validate_choice(spec.t, spec.k_max)",
+        "layers = [by_kernel[k] for by_kernel, k in zip(self._train_layer, kernels)]",
+        "layers = [by_kernel.get(k, by_kernel[max(by_kernel)])"
+        " for by_kernel, k in zip(self._train_layer, kernels)]",
         "forward_train does not name an off-grid kernel",
+    ),
+    Mutant(
+        "epochs-without-a-cap", "src/netshrink/config.py",
+        "epochs: int = _key(40, lo=1, hi=10_000)",
+        "epochs: int = _key(40, lo=1)",
+        "a config's epochs may run the lr_decay check for as long as they ask",
+    ),
+    # the scratch mutants earlier changes describe, against the code as it now stands
+    Mutant(
+        "pass-through-drops-the-bypass-gradient", "src/netshrink/supernet.py",
+        "        dx[:, m:hi] += dout[:, m:hi]\n",
+        "        pass\n",
+        "a shrunk layer's bypassed inputs get no gradient",
+    ),
+    Mutant(
+        "pass-through-zeroes-its-gradient", "src/netshrink/supernet.py",
+        "return dout  # a pass-through layer",
+        "return dout * 0.0  # a pass-through layer",
+        "a removed layer passes no gradient down",
+    ),
+    Mutant(
+        "corner-kernel-window", "src/netshrink/supernet.py",
+        "off = (full - k) // 2",
+        "off = 0",
+        "a smaller kernel takes the corner taps, not the centered window",
+    ),
+    Mutant(
+        "dw-into-the-corner-window", "src/netshrink/supernet.py",
+        "self.dw = prefix_slice(self.weight.grad, self.m, self.z_in, self.k)",
+        "self.dw = self.weight.grad[: self.m, : self.z_in, : self.k, : self.k]",
+        "a smaller kernel's weight gradient lands in the corner taps",
+    ),
+    Mutant(
+        "gate-ignores-the-mask", "src/netshrink/supernet.py",
+        "            gate = out > 0\n",
+        "            gate = y > 0\n",
+        "masked-out filters still get weight gradients",
+    ),
+    Mutant(
+        "scaled-bypass", "src/netshrink/supernet.py",
+        "out[:, :end] += x[:, :end] * dropped",
+        "out[:, :end] += 2 * x[:, :end] * dropped",
+        "training routes twice each dropped filter's input",
+    ),
+    Mutant(
+        "flow-ignores-the-bypass", "src/netshrink/supernet.py",
+        "r = max(m, spec.bypass_end(r))",
+        "r = m if m else spec.bypass_end(r)",
+        "a shrunk layer's flow drops the inputs it passes on",
+    ),
+    Mutant(
+        "row-parser-without-the-object-check", "src/netshrink/supernet.py",
+        "kind = json_object(row, at).get(\"kind\")",
+        "kind = row.get(\"kind\")",
+        "a row that is not an object fails with an AttributeError",
+    ),
+    Mutant(
+        "row-parser-coerces-m", "src/netshrink/supernet.py",
+        "m = json_int(row.get(\"M\"), f\"{at}: field 'M'\")",
+        "m = int(row.get(\"M\"))",
+        "a row's M may be a float, a bool or a string",
+    ),
+    Mutant(
+        "row-parser-skips-the-head-row", "src/netshrink/supernet.py",
+        "read = (\"kind\", \"M\", \"k\") if r < len(pairs) else ()",
+        "read = (\"kind\", \"M\", \"k\") if r < len(pairs) else tuple(written[r])",
+        "the head row's fields are not compared with the network's",
+    ),
+    Mutant(
+        "extraction-reads-the-last-head-columns", "src/netshrink/supernet.py",
+        "own(head_w.value[:, :z], head_b.value, \"head\")",
+        "own(head_w.value[:, head_w.value.shape[1] - z :], head_b.value, \"head\")",
+        "an extracted head copies the last z columns",
+    ),
+    Mutant(
+        "batches-joined-in-reverse", "src/netshrink/supernet.py",
+        "for lo in batches])",
+        "for lo in batches[::-1]])",
+        "evaluation joins its batch outputs in reverse order",
+    ),
+    Mutant(
+        "score-weighs-batches-by-the-nominal-size", "src/netshrink/supernet.py",
+        "[0] * (hi - lo)",
+        "[0] * EVAL_BATCH_SIZE",
+        "the mean loss weighs a short last batch as a full one",
+    ),
+    Mutant(
+        "capture-fills-one-entry-less", "src/netshrink/supernet.py",
+        "if capture is not None and i < len(capture):",
+        "if capture is not None and i < len(capture) - 1:",
+        "a captured prefix lacks its last layer's input",
+    ),
+    Mutant(
+        "capture-of-the-wrong-layer", "src/netshrink/supernet.py",
+        "                capture[i] = x\n",
+        "                capture[max(i - 1, 0)] = x\n",
+        "a layer's input is stored as the layer below's",
+    ),
+    Mutant(
+        "prefix-relabelled-without-recomputing", "src/netshrink/search.py",
+        "prefix = prefix.moved_to(supernet, best.choice)",
+        "prefix = HoldoutPrefix(best.choice, prefix.inputs)",
+        "the holdout prefix keeps the old best's inputs under the new best's choice",
+    ),
+    Mutant(
+        "prefix-recomputed-one-layer-late", "src/netshrink/search.py",
+        "f = first_changed_layer(self.choice, choice)",
+        "f = min(first_changed_layer(self.choice, choice) + 1, len(self.inputs) - 1)",
+        "the holdout prefix keeps one stale layer input after a winner",
+    ),
+    Mutant(
+        "run-capture-one-layer-short", "src/netshrink/search.py",
+        "stop = min(first_changed_layer(choice, after), len(choice.pairs) - 1) + 1",
+        "stop = min(first_changed_layer(choice, after), len(choice.pairs) - 1)",
+        "a run's next sample reruns one shared layer",
+    ),
+    Mutant(
+        "progress-counts-from-the-prefix", "src/netshrink/search.py",
+        "len(specs) - first_changed_layer(before, choice)",
+        "len(specs) - first_changed_layer(prefix.choice, choice)",
+        "the progress line counts each sample's layers from the best, not from the sample before",
+    ),
+    Mutant(
+        "loader-without-the-shrink-check", "src/netshrink/search.py",
+        "        i = first_growing_layer(before, after)\n        if i is not None:",
+        "        i = first_growing_layer(before, after)\n        if False:",
+        "a trajectory entry may grow a layer",
+    ),
+    Mutant(
+        "conv-without-the-square-check", "src/netshrink/tensor.py",
+        "if kh != kw:",
+        "if False:",
+        "a non-square kernel reaches the GEMM",
+    ),
+    Mutant(
+        "conv-without-the-stride-check", "src/netshrink/tensor.py",
+        "if stride < 1:",
+        "if False:",
+        "a stride below 1 reaches the GEMM",
+    ),
+    Mutant(
+        "conv-without-the-extent-check", "src/netshrink/tensor.py",
+        "if h < kh or wd < kw:",
+        "if False:",
+        "an input smaller than the kernel reaches the GEMM",
+    ),
+    Mutant(
+        "dx-drops-the-odd-phases", "src/netshrink/tensor.py",
+        "        for t in range(s):\n",
+        "        for t in range(0, s, 2):\n",
+        "a stride-2 input gradient leaves its odd columns unwritten",
+    ),
+    Mutant(
+        "artifact-written-in-place", "src/netshrink/errors.py",
+        "tmp = path.with_name(f\".{path.name}.{os.getpid()}.tmp\")",
+        "tmp = path",
+        "an artifact is rewritten in place, so a failed write leaves it torn",
+    ),
+    Mutant(
+        "bench-cost-seed-off-by-one", "bench/bench_child.py",
+        "seed=cfg.seed + cfgmod.SEED_COST,",
+        "seed=cfg.seed + cfgmod.SEED_COST + 1,",
+        "the bench prices a run with another table than the CLI",
+    ),
+    Mutant(
+        "bench-split-seed-off-by-one", "bench/bench_child.py",
+        "test_fraction, seed=cfg.seed + cfgmod.SEED_DATA)",
+        "test_fraction, seed=cfg.seed + cfgmod.SEED_DATA + 1)",
+        "the bench splits the data otherwise than the CLI",
+    ),
+    Mutant(
+        "bench-ignores-the-interpolate-key", "bench/bench_child.py",
+        "table.interpolate = table.interpolate or cfg.cost.interpolate",
+        "table.interpolate = table.interpolate",
+        "the bench reads a file table without the config's interpolation",
     ),
 )
 
@@ -188,11 +364,9 @@ def run(tree: Path, mutants) -> list[tuple[Mutant, str, str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to mutate a copy of")
-    parser.add_argument("--only", nargs="+", default=None, help="names of the mutants to run")
     args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.only is None or m.name in args.only]
-    results = run(args.tree.resolve(), chosen)
-    width = max(len(m.name) for m in chosen)
+    results = run(args.tree.resolve(), MUTANTS)
+    width = max(len(m.name) for m in MUTANTS)
     for mutant, status, detail in results:
         print(f"{mutant.name:<{width}}  {status:<10}  {detail}  [{mutant.breaks}]")
     ran = [status for _, status, _ in results if status in ("killed", "survived")]
