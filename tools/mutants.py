@@ -1,9 +1,10 @@
-"""Run tier-1 against each hand-written mutant of `src/` and report which ones it kills.
+"""Run tier-1 against each hand-written mutant of the program and report which ones it kills.
 
 Usage: python tools/mutants.py [--tree PATH]
 
-Each entry of `MUTANTS` gives a file, an exact old text, the new text and
-what the mutant breaks.  The tool copies the tree (by default this
+Each entry of `MUTANTS` gives a file (of `src/`, or of `bench/`, whose
+tests tier-1 also runs), an exact old text, the new text and what the
+mutant breaks.  The tool copies the tree (by default this
 checkout) once to a temporary directory.  For each mutant it applies the
 edit there, runs tier-1 with `-x` and restores the file.  The tree it reads
 is never written.  A mutant whose old text does not occur exactly once in
